@@ -1,12 +1,9 @@
 """Baseline algorithms sharing the oracles of the extrapolated solver."""
 
-import time
 from dataclasses import dataclass
+from typing import Optional
 
-import numpy as np
-
-from .problem import IterateTrace, SolveReport
-from .psg import ExtrapolationState, extrapolation_coeffs
+from .psg import extrapolation_coeffs, iterate
 
 
 @dataclass(frozen=True)
@@ -18,6 +15,7 @@ class BaselineParams:
     stop_rel_tol: float = 1e-8
     extrapolation: bool = False  # pDCAe momentum on/off
     restart_period: int = 50
+    keep_iterates: Optional[bool] = None  # None: keep when d <= 2048
 
     def __post_init__(self):
         if self.step_tau <= 0:
@@ -28,66 +26,13 @@ class BaselineParams:
             raise ValueError("stop_rel_tol must be nonnegative")
 
 
-def _iterate(spec, x0, params, momentum):
-    x = np.array(x0, dtype=float)
-    if spec.is_feasible is not None and not spec.is_feasible(x):
-        raise ValueError("starting point is infeasible")
-    tau = params.step_tau
-    trace = IterateTrace(iterates=[] if x.size <= 2048 else None)
-    f0 = spec.objective(x)
-    trace.record(f0, 0.0, f0, 0.0, 0.0, 0.0, x)
-
-    state = ExtrapolationState()
-    x_prev = x.copy()
-    status = "max-iter"
-    iterations = 0
-    worst = 0.0
-    t0 = time.perf_counter()
-    for n in range(params.max_iter):
-        if momentum:
-            theta, _, state = extrapolation_coeffs(
-                state, 1.0, 0.0, tau, params.restart_period
-            )
-        else:
-            theta = 0.0
-        g_n = spec.subgrad_g(x)
-        y = x + theta * (x - x_prev)
-        grad = spec.map_A.adjoint(spec.grad_h(spec.map_A.apply(y)))
-        x_next = spec.prox_fC(y - tau * grad + tau * g_n, tau)
-        if not np.all(np.isfinite(x_next)):
-            raise FloatingPointError("non-finite iterate at iteration %d" % n)
-
-        step = float(np.linalg.norm(x_next - x))
-        fval = spec.objective(x_next)
-        worst = max(worst, fval - trace.objective[-1])
-        trace.record(fval, step, fval, theta, 0.0, tau, x_next)
-
-        xn_norm = float(np.linalg.norm(x))
-        rel = step / xn_norm if xn_norm > 0 else step
-        x_prev, x = x, x_next
-        iterations = n + 1
-        if n >= 1 and rel < params.stop_rel_tol:
-            status = "converged"
-            break
-
-    return SolveReport(
-        x=x,
-        objective=trace.objective[-1],
-        iterations=iterations,
-        status=status,
-        trace=trace,
-        lyapunov_c=0.0,
-        max_lyapunov_violation=worst,
-        wall_time=time.perf_counter() - t0,
-    )
-
-
 def gppa_solve(spec, x0, params):
     """Generalized proximal point algorithm: fixed-step, no extrapolation.
 
     x_{n+1} = prox_{tau (f + i_C)}(x_n - tau grad(h o A)(x_n) + tau g_n).
     """
-    return _iterate(spec, x0, params, momentum=False)
+    return iterate(spec, x0, params,
+                   lambda n, state: (params.step_tau, 0.0, None, state))
 
 
 def pdcae_solve(spec, x0, params):
@@ -97,6 +42,16 @@ def pdcae_solve(spec, x0, params):
     (reset every restart_period iterations);
     x_{n+1} = prox_{tau (f + i_C)}(y_n - tau grad(h o A)(y_n) + tau g_n),
     where g_n is taken at x_n.  Requires convex f, h o A, and g; this is a
-    caller obligation, not checked here.
+    caller obligation, not checked here.  Without params.extrapolation,
+    theta_n = 0 and this is GPPA.
     """
-    return _iterate(spec, x0, params, momentum=params.extrapolation)
+    if not params.extrapolation:
+        return gppa_solve(spec, x0, params)
+
+    def schedule(n, state):
+        theta, _, state = extrapolation_coeffs(
+            state, 1.0, 0.0, params.step_tau, params.restart_period
+        )
+        return params.step_tau, theta, None, state
+
+    return iterate(spec, x0, params, schedule)

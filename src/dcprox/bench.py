@@ -86,6 +86,7 @@ def _solve_cell(spec, x0, solver, cfg):
         step_tau=0.8 * base_tau if solver == "gppa" else base_tau,
         max_iter=cfg.max_iter, stop_rel_tol=cfg.stop_rel_tol,
         extrapolation=solver == "pdcae", restart_period=cfg.restart_period,
+        keep_iterates=False,
     )
     if solver == "gppa":
         return baselines.gppa_solve(spec, x0, params)

@@ -21,14 +21,27 @@ def norm_subgradient(x):
     return x / n
 
 
-def least_squares_value_grad(z, b):
-    """Value and gradient of 0.5 ||z - b||^2.  Gradient Lipschitz modulus 1."""
+def _residual(z, b):
     z = np.asarray(z, dtype=float)
     b = np.asarray(b, dtype=float)
     if z.shape != b.shape:
         raise ValueError("dimension mismatch")
-    r = z - b
-    return 0.5 * float(r @ r), r
+    return z - b
+
+
+#: loss kind -> (value, gradient) as functions of the residual r = z - b
+_LOSS_OF_RESIDUAL = {
+    "least-squares": (lambda r: 0.5 * float(r @ r), lambda r: r),
+    "lorentzian": (
+        lambda r: float(np.sum(np.log1p(r * r))),
+        lambda r: 2.0 * r / (1.0 + r * r),
+    ),
+}
+
+
+def least_squares_value_grad(z, b):
+    """Value and gradient of 0.5 ||z - b||^2.  Gradient Lipschitz modulus 1."""
+    return Loss("least-squares", b).value_grad(z)
 
 
 def lorentzian_value_grad(z, b):
@@ -36,13 +49,7 @@ def lorentzian_value_grad(z, b):
 
     The gradient 2 r / (1 + r^2) is Lipschitz continuous with modulus 2.
     """
-    z = np.asarray(z, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if z.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    r = z - b
-    r2 = r * r
-    return float(np.sum(np.log1p(r2))), 2.0 * r / (1.0 + r2)
+    return Loss("lorentzian", b).value_grad(z)
 
 
 LOSS_LIPSCHITZ = {"least-squares": 1.0, "lorentzian": 2.0}
@@ -50,7 +57,10 @@ LOSS_LIPSCHITZ = {"least-squares": 1.0, "lorentzian": 2.0}
 
 @dataclass(frozen=True)
 class Loss:
-    """A loss phi applied to Az, with its target and gradient modulus."""
+    """A loss phi applied to Az, with its target and gradient modulus.
+
+    value and grad each evaluate only their own formula; value_grad both.
+    """
 
     kind: str  # "least-squares" | "lorentzian"
     b: np.ndarray
@@ -64,15 +74,15 @@ class Loss:
         return LOSS_LIPSCHITZ[self.kind]
 
     def value(self, z):
-        return self.value_grad(z)[0]
+        return _LOSS_OF_RESIDUAL[self.kind][0](_residual(z, self.b))
 
     def grad(self, z):
-        return self.value_grad(z)[1]
+        return _LOSS_OF_RESIDUAL[self.kind][1](_residual(z, self.b))
 
     def value_grad(self, z):
-        if self.kind == "least-squares":
-            return least_squares_value_grad(z, self.b)
-        return lorentzian_value_grad(z, self.b)
+        value, grad = _LOSS_OF_RESIDUAL[self.kind]
+        r = _residual(z, self.b)
+        return value(r), grad(r)
 
 
 @dataclass(frozen=True)

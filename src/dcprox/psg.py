@@ -60,61 +60,64 @@ def lyapunov_c(spec, params):
     )
 
 
-def solve(spec, x0, params):
-    """Run the extrapolated proximal subgradient algorithm from x0 in C.
+def iterate(spec, x0, params, schedule, c=0.0, delta=0.0, wrap_errors=False):
+    """The iteration loop of the proposed solver, GPPA and pDCAe.
 
-    Stops when the relative step ||x_{n+1} - x_n|| / ||x_n|| drops below
-    params.stop_rel_tol (tested from the second update on; absolute step
-    norm is used whenever ||x_n|| = 0) or after params.max_iter updates.
+    schedule(n, state) -> (tau, lam, mu, state) is the momentum policy; state
+    starts at ExtrapolationState().  The gradient of h o A is taken at
+    u_n = x_n + lam (x_n - x_{n-1}) and the prox at v_n = x_n + mu (x_n -
+    x_{n-1}), or at u_n when mu is None (recorded as mu = 0).  A u_n comes
+    from the cached A x_n and A x_{n-1}, and F(x_{n+1}) from the one fresh
+    product A x_{n+1}.  c and delta set the monitored Lyapunov decrease;
+    wrap_errors re-raises failures of the step as RuntimeError.
     """
     x = np.array(x0, dtype=float)
     if spec.is_feasible is not None and not spec.is_feasible(x):
         raise ValueError("starting point is infeasible")
-    tau_bar = tau_upper_bound(spec, params)
-    c = lyapunov_c(spec, params)
-    d = x.size
-    keep = params.keep_iterates if params.keep_iterates is not None else d <= 2048
+    keep = params.keep_iterates if params.keep_iterates is not None else x.size <= 2048
 
+    def objective(x, Ax):
+        return spec.value_f(x) + spec.value_h(Ax) - spec.value_g(x)
+
+    Ax = spec.map_A.apply(x)
+    f0 = objective(x, Ax)
     trace = IterateTrace(iterates=[] if keep else None)
-    f0 = spec.objective(x)
     trace.record(f0, 0.0, f0, 0.0, 0.0, 0.0, x)
 
     state = ExtrapolationState()
-    x_prev = x.copy()
+    x_prev, Ax_prev = x, Ax
     status = "max-iter"
     iterations = 0
     max_violation = 0.0
     t0 = time.perf_counter()
     for n in range(params.max_iter):
-        if params.tau_sequence is not None:
-            tau = float(params.tau_sequence[n])
-            if not (0.0 < tau <= tau_bar * (1.0 + 1e-12)):
-                raise ValueError("tau_sequence value outside (0, tau_upper_bound]")
-        else:
-            tau = tau_bar
-        lam, mu, state = extrapolation_coeffs(
-            state, params.lambda_bar, params.mu_bar, tau, params.restart_period
-        )
-        assert 0.0 <= lam <= params.lambda_bar
-        assert 0.0 <= mu <= params.mu_bar * tau
+        tau, lam, mu, state = schedule(n, state)
         g_n = spec.subgrad_g(x)
         try:
-            x_next = psg_step(spec, x, x_prev, g_n, lam, mu, tau)
+            Au = Ax if lam == 0.0 else Ax + lam * (Ax - Ax_prev)
+            grad = spec.map_A.adjoint(spec.grad_h(Au))
+            mu_v = lam if mu is None else mu
+            v = x if mu_v == 0.0 else x + mu_v * (x - x_prev)
+            x_next = spec.prox_fC(v - tau * grad + tau * g_n, tau)
         except Exception as exc:
-            raise RuntimeError("prox oracle failed at iteration %d" % n) from exc
+            if wrap_errors:
+                raise RuntimeError("prox oracle failed at iteration %d" % n) from exc
+            raise
         if not np.all(np.isfinite(x_next)):
             raise FloatingPointError("non-finite iterate at iteration %d" % n)
 
         step = float(np.linalg.norm(x_next - x))
-        fval = spec.objective(x_next)
+        Ax_next = spec.map_A.apply(x_next)
+        fval = objective(x_next, Ax_next)
         lyap = fval + c * step * step
-        violation = lyap + params.delta * step * step - trace.lyapunov[-1]
+        violation = lyap + delta * step * step - trace.lyapunov[-1]
         max_violation = max(max_violation, violation)
-        trace.record(fval, step, lyap, lam, mu, tau, x_next)
+        trace.record(fval, step, lyap, lam, 0.0 if mu is None else mu, tau, x_next)
 
         xn_norm = float(np.linalg.norm(x))
         rel = step / xn_norm if xn_norm > 0 else step
         x_prev, x = x, x_next
+        Ax_prev, Ax = Ax, Ax_next
         iterations = n + 1
         if n >= 1 and rel < params.stop_rel_tol:
             status = "converged"
@@ -130,6 +133,32 @@ def solve(spec, x0, params):
         max_lyapunov_violation=max_violation,
         wall_time=time.perf_counter() - t0,
     )
+
+
+def solve(spec, x0, params):
+    """Run the extrapolated proximal subgradient algorithm from x0 in C.
+
+    Stops when the relative step ||x_{n+1} - x_n|| / ||x_n|| drops below
+    params.stop_rel_tol (tested from the second update on; absolute step
+    norm is used whenever ||x_n|| = 0) or after params.max_iter updates.
+    Each iteration costs one A product, one A* product, one prox_fC and
+    one subgrad_g call; F(x0) costs one more A product.
+    """
+    tau_bar = tau_upper_bound(spec, params)
+
+    def schedule(n, state):
+        tau = tau_bar if params.tau_sequence is None else float(params.tau_sequence[n])
+        if not (0.0 < tau <= tau_bar * (1.0 + 1e-12)):
+            raise ValueError("tau_sequence value outside (0, tau_upper_bound]")
+        lam, mu, state = extrapolation_coeffs(
+            state, params.lambda_bar, params.mu_bar, tau, params.restart_period
+        )
+        assert 0.0 <= lam <= params.lambda_bar
+        assert 0.0 <= mu <= params.mu_bar * tau
+        return tau, lam, mu, state
+
+    return iterate(spec, x0, params, schedule, c=lyapunov_c(spec, params),
+                   delta=params.delta, wrap_errors=True)
 
 
 def check_decrease(trace, c, delta, tol=0.0):

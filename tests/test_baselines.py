@@ -83,3 +83,12 @@ def test_baseline_rejects_infeasible_start():
     guarded = replace(spec, is_feasible=lambda x: False)
     with pytest.raises(ValueError):
         gppa_solve(guarded, np.zeros(inst.d), BaselineParams(step_tau=0.1))
+
+
+@pytest.mark.parametrize("keep, kept", [(None, True), (True, True), (False, False)])
+def test_baselines_keep_iterates_as_asked(keep, kept):
+    inst, spec = make_problem()
+    params = BaselineParams(step_tau=0.2, max_iter=5, keep_iterates=keep)
+    for fn in (gppa_solve, pdcae_solve):
+        rep = fn(spec, np.zeros(inst.d), params)
+        assert (rep.trace.iterates is not None) == kept

@@ -62,6 +62,8 @@ def test_gradients_finite_difference(kind):
     fd = finite_diff(loss.value, z)
     g = loss.grad(z)
     assert np.max(np.abs(fd - g)) / max(1.0, np.max(np.abs(g))) <= 1e-6
+    v, vg = loss.value_grad(z)
+    assert loss.value(z) == v and np.array_equal(g, vg)
 
 
 def test_least_squares_value():
