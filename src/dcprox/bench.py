@@ -1,6 +1,5 @@
 """Benchmark sweeps, multi-start power-flow runs, and invariant checks."""
 
-import concurrent.futures
 import csv
 import io
 from dataclasses import dataclass, replace
@@ -32,7 +31,6 @@ class ExperimentConfig:
     mu_bar: float = 0.01
     delta: float = 5e-25
     restart_period: int = 50
-    workers: int = 1
     out_csv: str = None
     # multi-start power-flow settings
     opf_starts: int = 30
@@ -44,6 +42,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_seeds < 1:
             raise ValueError("need at least one seed")
+        if self.opf_starts < 1:
+            raise ValueError("need at least one power-flow start")
         unknown = set(self.solvers) - set(SOLVERS)
         if unknown:
             raise ValueError("unimplemented solvers: %s" % sorted(unknown))
@@ -67,7 +67,7 @@ class RunRecord:
     iterations: int = 0
     error: float = float("nan")
     objective: float = float("nan")
-    cpu_time: float = float("nan")
+    wall_time: float = float("nan")
     lyapunov_violation: float = float("nan")
     status: str = ""
     failure: str = ""
@@ -110,7 +110,7 @@ def _run_instance(case, seed, cfg):
             rec.iterations = rep.iterations
             rec.error = cs.ground_truth_error(rep.x, inst.x_g)
             rec.objective = rep.objective
-            rec.cpu_time = rep.wall_time
+            rec.wall_time = rep.wall_time
             rec.status = rep.status
             if solver == "proposed":
                 rec.lyapunov_violation = rep.max_lyapunov_violation
@@ -129,14 +129,8 @@ class SweepResult:
 def run_cs_sweep(cfg):
     """Sweep solver x case over seeds; errors are recorded, not raised."""
     cfg = cfg.resolved()
-    jobs = [(case, cfg.base_seed + k) for case in cfg.cases
-            for k in range(cfg.n_seeds)]
-    if cfg.workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(cfg.workers) as pool:
-            chunks = list(pool.map(lambda cs_: _run_instance(*cs_, cfg), jobs))
-    else:
-        chunks = [_run_instance(case, seed, cfg) for case, seed in jobs]
-    runs = [rec for chunk in chunks for rec in chunk]
+    runs = [rec for case in cfg.cases for k in range(cfg.n_seeds)
+            for rec in _run_instance(case, cfg.base_seed + k, cfg)]
 
     rows = []
     for case in cfg.cases:
@@ -149,7 +143,7 @@ def run_cs_sweep(cfg):
                 "n_runs": len(cell),
                 "n_errors": len(cell) - len(good),
             }
-            for key in ("iterations", "error", "objective", "cpu_time"):
+            for key in ("iterations", "error", "objective", "wall_time"):
                 row["mean_" + key] = (
                     float(np.mean([getattr(r, key) for r in good]))
                     if good else float("nan")
@@ -166,13 +160,13 @@ def run_cs_sweep(cfg):
 
 CSV_COLUMNS = (
     "case", "solver", "n_runs", "n_errors", "mean_iterations", "mean_error",
-    "mean_objective", "mean_cpu_time (nondeterministic)",
+    "mean_objective", "mean_wall_time (nondeterministic)",
     "max_lyapunov_violation",
 )
 
 
 def results_csv_text(rows):
-    """Sweep rows as CSV text, byte-stable apart from the CPU-time column."""
+    """Sweep rows as CSV text, byte-stable apart from the wall-time column."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -180,7 +174,7 @@ def results_csv_text(rows):
         writer.writerow([
             row["case"], row["solver"], row["n_runs"], row["n_errors"],
             "%.17g" % row["mean_iterations"], "%.17g" % row["mean_error"],
-            "%.17g" % row["mean_objective"], "%.6f" % row["mean_cpu_time"],
+            "%.17g" % row["mean_objective"], "%.6f" % row["mean_wall_time"],
             "%.17g" % row["max_lyapunov_violation"],
         ])
     return buf.getvalue()
@@ -200,67 +194,52 @@ class OPFResult:
     rate_r2: float              # tail log-linear fit of proposed step norms
 
 
-def _random_start(set_, rng, projector):
+def _random_start(set_, rng, spec):
     lo = np.where(np.isfinite(set_.lo), set_.lo, -1.0)
     hi = np.where(np.isfinite(set_.hi), set_.hi, 1.0)
-    return projector.project(rng.uniform(lo, hi))
+    # f is an indicator, so its prox is the same projection for every tau.
+    return spec.prox_fC(rng.uniform(lo, hi), 1.0)
 
 
-def run_opf(cfg, net=None, solvers=None):
+def run_opf(cfg, net=None):
     """Multi-start comparison on the placement model.
 
     Each start is drawn uniformly between the variable bounds and projected
-    onto the feasible set, then every requested solver runs from it.
+    onto the feasible set, then every solver of cfg.solvers runs from it.
+    All starts share one model and its projector.
     """
     cfg = replace(cfg, loss_kind="least-squares").resolved()
     if net is None:
         net = opf.load_network()
-    solvers = cfg.solvers if solvers is None else solvers
     spec, set_, lay = opf.build_dcopf(net)
-    projector = opf.PolyhedronProjector(set_, tol=1e-9)
     rng = np.random.default_rng(cfg.base_seed)
-    x0s = [_random_start(set_, rng, projector) for _ in range(cfg.opf_starts)]
+    x0s = [_random_start(set_, rng, spec) for _ in range(cfg.opf_starts)]
 
     opf_cfg = replace(cfg, max_iter=cfg.opf_max_iter)
     starts = []
-    best = {"objective": np.inf, "x": None, "trace": None}
-
-    def run_one(solver, k, x0):
-        spec_k, _, _ = opf.build_dcopf(net, check_feasible=False)
-        rep = _solve_cell(spec_k, x0, solver, opf_cfg)
-        return {
-            "solver": solver, "start": k, "objective": rep.objective,
-            "iterations": rep.iterations, "cpu_time": rep.wall_time,
-            "x": rep.x, "trace": rep.trace,
-            "lyapunov_violation": rep.max_lyapunov_violation,
-        }
-
-    jobs = [(solver, k, x0) for solver in solvers for k, x0 in enumerate(x0s)]
-    if cfg.workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(cfg.workers) as pool:
-            results = list(pool.map(lambda j: run_one(*j), jobs))
-    else:
-        results = [run_one(*j) for j in jobs]
-
-    rate_r2 = float("nan")
-    for res in results:
-        starts.append({k: res[k] for k in
-                       ("solver", "start", "objective", "iterations",
-                        "cpu_time", "lyapunov_violation")})
-        if res["solver"] == "proposed" and res["objective"] < best["objective"]:
-            best.update(objective=res["objective"], x=res["x"],
-                        trace=res["trace"])
+    best_objective, best_x = np.inf, None
+    for solver in cfg.solvers:
+        for k, x0 in enumerate(x0s):
+            rep = _solve_cell(spec, x0, solver, opf_cfg)
+            starts.append({
+                "solver": solver, "start": k, "objective": rep.objective,
+                "iterations": rep.iterations, "wall_time": rep.wall_time,
+                "lyapunov_violation": rep.max_lyapunov_violation,
+            })
+            if solver == "proposed" and rep.objective < best_objective:
+                best_objective, best_x = rep.objective, rep.x
 
     stats = {}
-    for solver in solvers:
+    for solver in cfg.solvers:
         cell = [s for s in starts if s["solver"] == solver]
         stats[solver] = {
             "mean_objective": float(np.mean([s["objective"] for s in cell])),
             "best_objective": float(np.min([s["objective"] for s in cell])),
             "mean_iterations": float(np.mean([s["iterations"] for s in cell])),
-            "mean_cpu_time": float(np.mean([s["cpu_time"] for s in cell])),
+            "mean_wall_time": float(np.mean([s["wall_time"] for s in cell])),
         }
-    if "proposed" in solvers and x0s:
+    rate_r2 = float("nan")
+    if "proposed" in cfg.solvers:
         # Dedicated diagnostic run with the stopping rule disabled, so the
         # tail fit sees the full step-norm history rather than 2-3 points.
         diag = psg.solve(spec, x0s[0], SolverParams(
@@ -272,13 +251,13 @@ def run_opf(cfg, net=None, solvers=None):
             diag.trace.step_norms[1:], tail_fraction=1.0, floor=1e-12
         )
     report = None
-    if best["x"] is not None:
+    if best_x is not None:
         report = opf.postprocess_solution(
-            best["x"], net, lay, round_tol=cfg.round_tol,
+            best_x, net, lay, round_tol=cfg.round_tol,
             baseline_cost=cfg.baseline_cost,
         )
     result = OPFResult(
-        best_report=report, best_x=best["x"], stats=stats, starts=starts,
+        best_report=report, best_x=best_x, stats=stats, starts=starts,
         rate_r2=rate_r2,
     )
     if cfg.out_json and report is not None:

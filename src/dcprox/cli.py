@@ -16,7 +16,7 @@ import sys
 from . import bench, cs
 
 _LIST_KEYS = {"cases", "solvers"}
-_INT_KEYS = {"n_seeds", "base_seed", "max_iter", "restart_period", "workers",
+_INT_KEYS = {"n_seeds", "base_seed", "max_iter", "restart_period",
              "opf_starts", "opf_max_iter"}
 _FLOAT_KEYS = {"gamma", "stop_rel_tol", "lambda_bar", "mu_bar", "delta",
                "baseline_cost", "round_tol"}

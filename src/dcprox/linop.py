@@ -8,7 +8,7 @@ class LinearMap:
 
     `apply` maps input vectors of length `dim_in` to output vectors of
     length `dim_out`; `adjoint` is the transpose map.  Instances are
-    immutable and safe to share across concurrent solver runs.
+    immutable and safe to share across solver runs.
     """
 
     def __init__(self, apply, adjoint, dim_in, dim_out):

@@ -20,6 +20,8 @@ from .problem import ProblemSpec
 
 N_BUS = 14
 DOLLARS_PER_UNIT = 1_040_000.0
+#: residual to which every projection onto the placement polyhedron is certified
+PROJECTION_TOL = 1e-9
 
 #: directed links of the branch-flow model: a source link into the
 #: generator bus plus the feeder tree oriented away from it.
@@ -196,7 +198,7 @@ class DCOPFLayout:
         )
 
 
-def build_dcopf(net, gamma=None, projection_tol=1e-9, check_feasible=True):
+def build_dcopf(net, gamma=None):
     """Assemble the relaxed placement problem.
 
     Returns (ProblemSpec, PolyhedralSet, DCOPFLayout) with
@@ -208,6 +210,8 @@ def build_dcopf(net, gamma=None, projection_tol=1e-9, check_feasible=True):
     The angle box is [-2 pi, 2 pi]: with the slack angle pinned to zero a
     one-sided box would force every angle difference, hence every flow, to
     be zero and make the model trivially infeasible in spirit.
+    prox_fC is the projection onto S, certified to PROJECTION_TOL; an S with
+    no point within that tolerance raises InfeasiblePolyhedronError.
     """
     gamma = net.gamma if gamma is None else float(gamma)
     if gamma <= 0:
@@ -272,9 +276,8 @@ def build_dcopf(net, gamma=None, projection_tol=1e-9, check_feasible=True):
         d, np.array(E_rows), np.array(e_rhs), np.array(G_rows), np.array(g_rhs),
         lo, hi,
     )
-    projector = PolyhedronProjector(set_, tol=projection_tol)
-    if check_feasible:
-        feasible_point(set_, tol=projection_tol)
+    projector = PolyhedronProjector(set_, tol=PROJECTION_TOL)
+    feasible_point(set_, tol=PROJECTION_TOL)
 
     a, b_cost, c = net.cost_a, net.cost_b, net.cost_c
     C_pv = net.pv_unit_cost

@@ -50,16 +50,16 @@ class PolyhedralSet:
             raise ValueError("box bounds must have length dim")
         if np.any(self.lo > self.hi):
             raise ValueError("lo must be <= hi componentwise")
+        self._E_scale = np.maximum(np.linalg.norm(self.E, axis=1), 1e-300)
+        self._G_scale = np.maximum(np.linalg.norm(self.G, axis=1), 1e-300)
 
     def residual(self, x):
         """Max constraint violation at x (row-normalized linear rows)."""
         res = 0.0
         if len(self.e):
-            scale = np.maximum(np.linalg.norm(self.E, axis=1), 1e-300)
-            res = max(res, float(np.max(np.abs(self.E @ x - self.e) / scale)))
+            res = max(res, float(np.max(np.abs(self.E @ x - self.e) / self._E_scale)))
         if len(self.g):
-            scale = np.maximum(np.linalg.norm(self.G, axis=1), 1e-300)
-            res = max(res, float(np.max((self.G @ x - self.g) / scale)))
+            res = max(res, float(np.max((self.G @ x - self.g) / self._G_scale)))
         res = max(res, float(np.max(np.maximum(self.lo - x, 0.0), initial=0.0)))
         res = max(res, float(np.max(np.maximum(x - self.hi, 0.0), initial=0.0)))
         return res
@@ -72,9 +72,9 @@ class PolyhedronProjector:
     """Reusable projector onto one PolyhedralSet.
 
     Stateless after construction, so instances are safe to share across
-    concurrent solver runs.  max_iter caps the active-set steps of one
-    projection; the default is ten times the number of reduced rows plus
-    the reduced dimension.
+    solver runs.  max_iter caps the active-set steps of one projection;
+    the default is ten times the number of reduced rows plus the reduced
+    dimension.
     """
 
     def __init__(self, set_, tol=1e-8, max_iter=None):

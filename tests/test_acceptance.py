@@ -34,7 +34,7 @@ def report(criterion, ok, detail):
 def ls_sweep():
     cfg = bench.ExperimentConfig(
         cases=(1, 2, 5, 6), loss_kind="least-squares", n_seeds=SEEDS,
-        base_seed=0, workers=4,
+        base_seed=0,
     )
     return bench.run_cs_sweep(cfg)
 
@@ -43,7 +43,7 @@ def ls_sweep():
 def lorentzian_sweep():
     cfg = bench.ExperimentConfig(
         cases=(1, 5), loss_kind="lorentzian", n_seeds=SEEDS,
-        base_seed=0, workers=4,
+        base_seed=0,
     )
     return bench.run_cs_sweep(cfg)
 

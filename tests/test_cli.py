@@ -21,7 +21,7 @@ def test_parse_config_rejects_garbage(tmp_path):
 def test_config_from_dict_coercion():
     cfg = cli.config_from_dict({
         "cases": "1,2", "solvers": "gppa, proposed", "n_seeds": "3",
-        "gamma": "0.5", "loss_kind": "lorentzian", "workers": "2",
+        "gamma": "0.5", "loss_kind": "lorentzian",
     })
     assert cfg.cases == (1, 2)
     assert cfg.solvers == ("gppa", "proposed")
@@ -42,6 +42,11 @@ def test_config_rejects_unknown_solver():
 def test_config_rejects_zero_seeds():
     with pytest.raises(ValueError):
         bench.ExperimentConfig(n_seeds=0)
+
+
+def test_config_rejects_zero_opf_starts():
+    with pytest.raises(ValueError, match="power-flow start"):
+        bench.ExperimentConfig(opf_starts=0)
 
 
 def test_sweep_shape_single_cell():

@@ -203,12 +203,29 @@ def test_plan_report_serialization(net):
 def test_multi_start_monotonicity(net):
     from dcprox import bench
 
-    cfg = bench.ExperimentConfig(opf_starts=4, base_seed=2)
-    res = bench.run_opf(cfg, net=net, solvers=("proposed",))
+    cfg = bench.ExperimentConfig(opf_starts=4, base_seed=2, solvers=("proposed",))
+    res = bench.run_opf(cfg, net=net)
     objs = [s["objective"] for s in res.starts]
     best_so_far = np.minimum.accumulate(objs)
     assert all(b <= a + 1e-15 for a, b in zip(objs, best_so_far))
     assert res.stats["proposed"]["best_objective"] <= res.stats["proposed"]["mean_objective"]
+
+
+def test_run_opf_builds_one_model(net, monkeypatch):
+    from dcprox import bench
+
+    calls = []
+    build = bench.opf.build_dcopf
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(bench.opf, "build_dcopf", counting_build)
+    cfg = bench.ExperimentConfig(opf_starts=2, base_seed=0)
+    res = bench.run_opf(cfg, net=net)
+    assert len(calls) == 1
+    assert len(res.starts) == 2 * len(bench.SOLVERS)
 
 
 def test_ac_model_structure(net):
