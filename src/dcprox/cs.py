@@ -54,17 +54,35 @@ def gen_gaussian(m, d, seed, mode="raw"):
 def gen_dct(m, d, seed):
     """m distinct rows, sampled uniformly, of the d x d orthonormal DCT-II.
 
-    Rows are orthonormal, so A A^T = I and the spectral norm is exactly 1.
+    Returns a matrix-free LinearMap: apply(x) = dct(x)[rows] and
+    adjoint(y) = idct(y zero-filled to length d), each one real FFT of
+    length 2d, so a product costs O(d log d) and no m x d matrix is
+    formed.  Rows are orthonormal, so A A^T = I and the spectral norm is
+    exactly 1.
     """
     if m > d:
         raise ValueError("need m <= d")
     rng = np.random.default_rng(seed)
     rows = np.sort(rng.choice(d, size=m, replace=False))
-    n = np.arange(d)
-    A = np.cos(np.pi * (2 * n + 1)[None, :] * rows[:, None] / (2 * d))
-    A *= np.sqrt(2.0 / d)
-    A[rows == 0] = np.sqrt(1.0 / d)
-    return A
+    # dct(x)[k] = c_k Re(exp(-i pi k / 2d) rfft(x, 2d)[k]), c_k the ortho weight
+    c = np.where(rows == 0, np.sqrt(1.0 / d), np.sqrt(2.0 / d))
+    phase = np.pi * rows / (2 * d)
+    wr = c * np.cos(phase)
+    wi = -c * np.sin(phase)
+    # irfft counts every bin but the zeroth twice and divides by 2d; undo both
+    spread = np.where(rows == 0, 2.0 * d, float(d)) * (wr - 1j * wi)
+    n = 2 * d
+
+    def apply(x):
+        z = np.fft.rfft(x, n)[rows]
+        return wr * z.real - wi * z.imag
+
+    def adjoint(y):
+        z = np.zeros(d + 1, dtype=complex)
+        z[rows] = spread * y
+        return np.fft.irfft(z, n)[:d]
+
+    return LinearMap(apply, adjoint, d, m)
 
 
 def gen_ground_truth(d, s, seed):
@@ -88,9 +106,9 @@ def ground_truth_error(x, x_g):
 
 @dataclass(frozen=True)
 class CSInstance:
-    """One sensing matrix, target, and ground truth with its regularizer."""
+    """One sensing map, target, and ground truth with its regularizer."""
 
-    A: np.ndarray
+    A: LinearMap
     b: np.ndarray
     x_g: np.ndarray
     gamma: float
@@ -101,11 +119,11 @@ class CSInstance:
 
     @property
     def m(self):
-        return self.A.shape[0]
+        return self.A.dim_out
 
     @property
     def d(self):
-        return self.A.shape[1]
+        return self.A.dim_in
 
 
 def make_instance(case, seed, gamma, loss_kind, gauss_mode=None):
@@ -121,14 +139,14 @@ def make_instance(case, seed, gamma, loss_kind, gauss_mode=None):
         gauss_mode = "scaled" if loss_kind == "least-squares" else "orthonormal"
     mat_seed, gt_seed = (int(v) for v in np.random.SeedSequence(seed).generate_state(2))
     if kind == "gaussian":
-        A = gen_gaussian(m, d, mat_seed, mode=gauss_mode)
+        A = LinearMap.from_matrix(gen_gaussian(m, d, mat_seed, mode=gauss_mode))
     elif kind == "dct":
         A = gen_dct(m, d, mat_seed)
     else:
         raise ValueError("unknown matrix kind %r" % (kind,))
     x_g = gen_ground_truth(d, s, gt_seed)
     return CSInstance(
-        A=A, b=A @ x_g, x_g=x_g, gamma=float(gamma),
+        A=A, b=A.apply(x_g), x_g=x_g, gamma=float(gamma),
         loss_kind=loss_kind, seed=int(seed), matrix_kind=kind, s=int(s),
     )
 
@@ -137,7 +155,7 @@ def build_cs_problem(inst, norm_tol=1e-9):
     """ProblemSpec with f = gamma ||.||_1, h = loss, g = gamma ||.||."""
     reg = L1L2Regularizer(inst.gamma)
     loss = Loss(inst.loss_kind, inst.b)
-    map_A = LinearMap.from_matrix(inst.A)
+    map_A = inst.A
     gamma = reg.gamma
     return ProblemSpec(
         prox_fC=lambda w, tau: soft_threshold(w, gamma * tau),
@@ -156,7 +174,7 @@ def save_instance(inst, out_dir):
     """Write the instance as a CSV bundle (matrix, b, x_g, metadata)."""
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out / "matrix.csv", inst.A, delimiter=",", fmt="%.17g")
+    np.savetxt(out / "matrix.csv", inst.A.dense(), delimiter=",", fmt="%.17g")
     np.savetxt(out / "b.csv", inst.b, delimiter=",", fmt="%.17g")
     np.savetxt(out / "ground_truth.csv", inst.x_g, delimiter=",", fmt="%.17g")
     meta = {
@@ -173,7 +191,7 @@ def save_instance(inst, out_dir):
 def load_instance(in_dir):
     """Read an instance bundle written by save_instance."""
     src = pathlib.Path(in_dir)
-    A = np.loadtxt(src / "matrix.csv", delimiter=",", ndmin=2)
+    A = LinearMap.from_matrix(np.loadtxt(src / "matrix.csv", delimiter=",", ndmin=2))
     b = np.loadtxt(src / "b.csv", delimiter=",")
     x_g = np.loadtxt(src / "ground_truth.csv", delimiter=",")
     meta = {}

@@ -11,6 +11,8 @@ class LinearMap:
     immutable and safe to share across solver runs.
     """
 
+    _matrix = None
+
     def __init__(self, apply, adjoint, dim_in, dim_out):
         self._apply = apply
         self._adjoint = adjoint
@@ -25,12 +27,24 @@ class LinearMap:
     def adjoint(self, y):
         return self._adjoint(y)
 
+    def dense(self):
+        """The dim_out x dim_in matrix of the map.
+
+        The stored array for a map made by from_matrix; otherwise the rows
+        adjoint(e_i), one adjoint product per row.
+        """
+        if self._matrix is not None:
+            return self._matrix
+        return np.array([self.adjoint(e) for e in np.eye(self.dim_out)])
+
     @classmethod
     def from_matrix(cls, A):
         A = np.asarray(A, dtype=float)
         if A.ndim != 2:
             raise ValueError("expected a 2-D array")
-        return cls(lambda x: A @ x, lambda y: A.T @ y, A.shape[1], A.shape[0])
+        out = cls(lambda x: A @ x, lambda y: A.T @ y, A.shape[1], A.shape[0])
+        out._matrix = A
+        return out
 
     @classmethod
     def identity(cls, dim):
@@ -58,11 +72,15 @@ class SpectralNormError(RuntimeError):
 
 
 def spectral_norm(map_, tol=1e-9, max_iter=5000, seed=0):
-    """Certified upper bound on the spectral norm of a LinearMap.
+    """Power-iteration estimate of the spectral norm of a LinearMap.
 
-    Runs power iteration on A*A from a seeded start vector and returns the
-    converged estimate inflated by (1 + tol), so the result can safely be
-    used in step-size denominators that require an upper bound on ||A||.
+    Runs power iteration on A*A from a seeded start vector until two
+    successive estimates agree to tol, and returns the last one inflated
+    by (1 + tol).  Power iteration approaches ||A|| from below and can
+    stall short of it when the top two singular values lie close together,
+    so the result is not a certified upper bound: on least-squares cases
+    1 and 2 (seeds 0-11) it lies below np.linalg.norm(A, 2) by up to
+    1.6e-7 relative.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linop import LinearMap
-from .polyhedron import PolyhedralSet, PolyhedronProjector, feasible_point
+from .polyhedron import PolyhedralSet, PolyhedronProjector
 from .problem import ProblemSpec
 
 N_BUS = 14
@@ -277,7 +277,7 @@ def build_dcopf(net, gamma=None):
         lo, hi,
     )
     projector = PolyhedronProjector(set_, tol=PROJECTION_TOL)
-    feasible_point(set_, tol=PROJECTION_TOL)
+    projector.feasible_point()
 
     a, b_cost, c = net.cost_a, net.cost_b, net.cost_c
     C_pv = net.pv_unit_cost

@@ -169,6 +169,20 @@ class PolyhedronProjector:
             )
         return x
 
+    def feasible_point(self):
+        """Projection of the origin, or an infeasibility signal.
+
+        If no point satisfies every constraint to tolerance the set is
+        reported as possibly infeasible with the residual achieved.
+        """
+        try:
+            return self.project(np.zeros(self.set.dim))
+        except ProjectionError as err:
+            raise InfeasiblePolyhedronError(
+                "possibly infeasible polyhedron (best residual %.3e)" % err.residual,
+                err.residual,
+            ) from err
+
     def _active_set(self, w, max_steps):
         """Goldfarb-Idnani solve of  min 1/2 ||y - w||^2  s.t.  R y <= r.
 
@@ -250,17 +264,5 @@ def project(set_, w, tol=1e-8, max_iter=None):
 
 
 def feasible_point(set_, tol=1e-8, max_iter=None):
-    """Some point of the set, or an infeasibility signal.
-
-    Projects the origin onto the set; if no point satisfies every
-    constraint to tolerance the set is reported as possibly infeasible
-    with the residual achieved.
-    """
-    proj = PolyhedronProjector(set_, tol=tol, max_iter=max_iter)
-    try:
-        return proj.project(np.zeros(set_.dim))
-    except ProjectionError as err:
-        raise InfeasiblePolyhedronError(
-            "possibly infeasible polyhedron (best residual %.3e)" % err.residual,
-            err.residual,
-        ) from err
+    """Some point of the set: PolyhedronProjector.feasible_point, one-shot."""
+    return PolyhedronProjector(set_, tol=tol, max_iter=max_iter).feasible_point()

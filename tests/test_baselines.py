@@ -28,7 +28,8 @@ def test_gppa_single_step_formula():
     x0 = rng.standard_normal(inst.d)
     rep = gppa_solve(spec, x0, BaselineParams(step_tau=tau, max_iter=1,
                                               stop_rel_tol=0.0))
-    grad = inst.A.T @ spec.grad_h(inst.A @ x0)
+    A = inst.A.dense()
+    grad = A.T @ spec.grad_h(A @ x0)
     g = spec.subgrad_g(x0)
     want = cs.soft_threshold(x0 - tau * grad + tau * g, inst.gamma * tau)
     assert np.allclose(rep.x, want, atol=1e-14)

@@ -103,7 +103,7 @@ def test_cli_gen_round_trip(tmp_path, capsys):
     assert rc == 0
     inst = cs.load_instance(out_dir)
     ref = cs.make_instance(1, 3, 0.1, "least-squares")
-    assert np.array_equal(inst.A, ref.A)
+    assert np.array_equal(inst.A.dense(), ref.A.dense())
 
 
 def test_cli_check_exit_code():

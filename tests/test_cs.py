@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
 
 from dcprox import cs
+from dcprox.linop import adjoint_mismatch
 
 
 def test_case_table_shapes():
@@ -39,13 +42,45 @@ def test_gen_gaussian_errors():
 
 def test_gen_dct_rows_of_orthonormal_transform():
     m, d = 12, 32
-    A = cs.gen_dct(m, d, 3)
+    A = cs.gen_dct(m, d, 3).dense()
     assert A.shape == (m, d)
     assert np.max(np.abs(A @ A.T - np.eye(m))) < 1e-12
     full = scipy.fft.dct(np.eye(d), norm="ortho", axis=0)
     # every generated row appears among the rows of the full transform
     for row in A:
         assert np.min(np.max(np.abs(full - row[None, :]), axis=1)) < 1e-12
+
+
+@pytest.mark.parametrize("m, d", [(12, 32), (13, 33), (180, 640)])
+def test_dct_map_matches_scipy_rows(m, d):
+    seed = 5
+    A = cs.gen_dct(m, d, seed)
+    assert (A.dim_out, A.dim_in) == (m, d)
+    # rows are drawn as gen_dct has always drawn them, so seeds keep their rows
+    rows = np.sort(np.random.default_rng(seed).choice(d, size=m, replace=False))
+    want = scipy.fft.dct(np.eye(d), norm="ortho", axis=0)[rows]
+    by_apply = np.column_stack([A.apply(e) for e in np.eye(d)])
+    assert np.max(np.abs(by_apply - want)) <= 1e-13
+    assert np.max(np.abs(A.dense() - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("case", [5, 6, 7, 8])
+def test_dct_cases_adjoint_and_norm(case):
+    inst = cs.make_instance(case, 0, 0.1, "least-squares")
+    assert adjoint_mismatch(inst.A) <= 1e-12
+    spec = cs.build_cs_problem(inst)
+    assert 1.0 <= spec.norm_A <= 1.0 + 2e-9
+
+
+def test_largest_dct_case_forms_no_matrix():
+    # the dense 2880 x 10240 matrix alone took 236 MB
+    tracemalloc.start()
+    try:
+        cs.build_cs_problem(cs.make_instance(8, 0, 0.1, "least-squares"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_gen_ground_truth_sparsity():
@@ -69,19 +104,20 @@ def test_ground_truth_error():
 def test_make_instance_deterministic_and_noiseless():
     a = cs.make_instance(1, 5, 0.1, "least-squares")
     b = cs.make_instance(1, 5, 0.1, "least-squares")
-    assert np.array_equal(a.A, b.A)
+    assert np.array_equal(a.A.dense(), b.A.dense())
     assert np.array_equal(a.x_g, b.x_g)
-    assert np.allclose(a.b, a.A @ a.x_g)
+    assert np.allclose(a.b, a.A.dense() @ a.x_g)
     assert (a.m, a.d, a.s) == (180, 640, 20)
     c = cs.make_instance(1, 6, 0.1, "least-squares")
-    assert not np.array_equal(a.A, c.A)
+    assert not np.array_equal(a.A.dense(), c.A.dense())
 
 
 def test_make_instance_per_loss_ensembles():
     ls = cs.make_instance(1, 0, 0.1, "least-squares")
     lz = cs.make_instance(1, 0, 0.001, "lorentzian")
-    assert np.max(np.abs(lz.A @ lz.A.T - np.eye(lz.m))) < 1e-12
-    assert np.max(np.abs(ls.A @ ls.A.T - np.eye(ls.m))) > 1e-6
+    A_lz, A_ls = lz.A.dense(), ls.A.dense()
+    assert np.max(np.abs(A_lz @ A_lz.T - np.eye(lz.m))) < 1e-12
+    assert np.max(np.abs(A_ls @ A_ls.T - np.eye(ls.m))) > 1e-6
 
 
 def test_build_cs_problem_objective_at_origin():
@@ -107,7 +143,7 @@ def test_build_cs_problem_prox_uses_scaled_threshold():
 def test_norm_estimate_matches_svd():
     inst = cs.make_instance(("gaussian", 20, 50, 4), 1, 0.1, "least-squares")
     spec = cs.build_cs_problem(inst)
-    exact = np.linalg.norm(inst.A, 2)
+    exact = np.linalg.norm(inst.A.dense(), 2)
     assert abs(spec.norm_A - exact) <= exact * 1e-8
 
 
@@ -115,7 +151,7 @@ def test_save_load_round_trip(tmp_path):
     inst = cs.make_instance(("dct", 16, 40, 3), 9, 0.001, "lorentzian")
     cs.save_instance(inst, tmp_path / "bundle")
     back = cs.load_instance(tmp_path / "bundle")
-    assert np.array_equal(back.A, inst.A)
+    assert np.array_equal(back.A.dense(), inst.A.dense())
     assert np.array_equal(back.b, inst.b)
     assert np.array_equal(back.x_g, inst.x_g)
     assert back.gamma == inst.gamma

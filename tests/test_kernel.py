@@ -91,3 +91,18 @@ def test_one_apply_and_one_adjoint_per_iteration(solver):
     rep = run_new(spec, solver, sweep_params(spec, solver, 50, stop_rel_tol=0.0))
     assert rep.iterations == 50
     assert spec.map_A.counts == {"apply": 1 + 50, "adjoint": 50}
+
+
+@pytest.mark.parametrize("case", [7, 8])
+def test_large_dct_cases_smoke(case):
+    gamma, _ = LOSS_DEFAULTS["least-squares"]
+    spec = cs.build_cs_problem(cs.make_instance(case, 0, gamma, "least-squares"))
+    f0 = spec.objective(np.zeros(spec.map_A.dim_in))
+    for solver in ("proposed", "gppa", "pdcae"):
+        counted = dataclasses.replace(spec, map_A=CountingMap(spec.map_A))
+        params = sweep_params(counted, solver, 30, stop_rel_tol=0.0)
+        rep = run_new(counted, solver, params)
+        assert rep.iterations == 30
+        assert np.all(np.isfinite(rep.x))
+        assert rep.objective <= f0
+        assert counted.map_A.counts == {"apply": 1 + 30, "adjoint": 30}

@@ -19,6 +19,13 @@ def test_from_matrix_rejects_non_2d():
         LinearMap.from_matrix(np.ones(3))
 
 
+def test_dense_returns_the_matrix():
+    A = np.arange(6.0).reshape(2, 3)
+    assert LinearMap.from_matrix(A).dense() is A
+    free = LinearMap(lambda x: A @ x, lambda y: A.T @ y, 3, 2)
+    assert np.array_equal(free.dense(), A)
+
+
 def test_identity_map():
     m = LinearMap.identity(4)
     x = np.arange(4.0)

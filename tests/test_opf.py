@@ -228,6 +228,21 @@ def test_run_opf_builds_one_model(net, monkeypatch):
     assert len(res.starts) == 2 * len(bench.SOLVERS)
 
 
+def test_build_dcopf_makes_one_projector(net, monkeypatch):
+    from dcprox.polyhedron import PolyhedronProjector
+
+    made = []
+    init = PolyhedronProjector.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolyhedronProjector, "__init__", counting_init)
+    opf.build_dcopf(net)
+    assert len(made) == 1
+
+
 def test_ac_model_structure(net):
     ac = opf.load_ac_model(net)
     assert len(ac.links) == 14

@@ -75,7 +75,8 @@ def test_psg_step_zero_momentum_is_proximal_gradient():
     g = spec.subgrad_g(x)
     tau = 0.3
     got = psg_step(spec, x, x, g, 0.0, 0.0, tau)
-    grad = inst.A.T @ spec.grad_h(inst.A @ x)
+    A = inst.A.dense()
+    grad = A.T @ spec.grad_h(A @ x)
     want = cs.soft_threshold(x - tau * grad + tau * g, inst.gamma * tau)
     assert np.allclose(got, want, atol=1e-14)
 
