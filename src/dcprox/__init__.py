@@ -6,8 +6,6 @@ from .linop import LinearMap, adjoint_mismatch, spectral_norm
 from .oracles import (
     L1L2Regularizer,
     Loss,
-    lorentzian_value_grad,
-    least_squares_value_grad,
     norm_subgradient,
     soft_threshold,
 )
@@ -31,7 +29,6 @@ from .psg import (
     check_decrease,
     extrapolation_coeffs,
     lyapunov_c,
-    psg_step,
     solve,
     tail_linear_fit,
 )
@@ -39,14 +36,13 @@ from .psg import (
 __all__ = [
     "BaselineParams", "gppa_solve", "pdcae_solve",
     "LinearMap", "adjoint_mismatch", "spectral_norm",
-    "L1L2Regularizer", "Loss", "lorentzian_value_grad",
-    "least_squares_value_grad", "norm_subgradient", "soft_threshold",
+    "L1L2Regularizer", "Loss", "norm_subgradient", "soft_threshold",
     "InfeasiblePolyhedronError", "PolyhedralSet", "PolyhedronProjector",
     "ProjectionError", "feasible_point", "project",
     "IterateTrace", "ProblemSpec", "SolveReport", "SolverParams",
     "tau_upper_bound",
     "ExtrapolationState", "check_decrease", "extrapolation_coeffs",
-    "lyapunov_c", "psg_step", "solve", "tail_linear_fit",
+    "lyapunov_c", "solve", "tail_linear_fit",
 ]
 
 __version__ = "0.1.0"

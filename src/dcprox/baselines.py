@@ -1,7 +1,6 @@
 """Baseline algorithms sharing the oracles of the extrapolated solver."""
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .psg import extrapolation_coeffs, iterate
 
@@ -15,7 +14,7 @@ class BaselineParams:
     stop_rel_tol: float = 1e-8
     extrapolation: bool = False  # pDCAe momentum on/off
     restart_period: int = 50
-    keep_iterates: Optional[bool] = None  # None: keep when d <= 2048
+    keep_iterates: bool = False
 
     def __post_init__(self):
         if self.step_tau <= 0:

@@ -126,20 +126,18 @@ class CSInstance:
         return self.A.dim_in
 
 
-def make_instance(case, seed, gamma, loss_kind, gauss_mode=None):
+def make_instance(case, seed, gamma, loss_kind):
     """Instance for one benchmark case (Table of test cases) and seed.
 
     The target is the noiseless measurement b = A x_g.  Gaussian cases use
     the 1/sqrt(m)-scaled ensemble for the least-squares loss and the
-    row-orthonormal ensemble for the Lorentzian loss unless gauss_mode
-    overrides the choice.
+    row-orthonormal ensemble for the Lorentzian loss.
     """
     kind, m, d, s = CASES[case] if isinstance(case, int) else case
-    if gauss_mode is None:
-        gauss_mode = "scaled" if loss_kind == "least-squares" else "orthonormal"
     mat_seed, gt_seed = (int(v) for v in np.random.SeedSequence(seed).generate_state(2))
     if kind == "gaussian":
-        A = LinearMap.from_matrix(gen_gaussian(m, d, mat_seed, mode=gauss_mode))
+        mode = "scaled" if loss_kind == "least-squares" else "orthonormal"
+        A = LinearMap.from_matrix(gen_gaussian(m, d, mat_seed, mode=mode))
     elif kind == "dct":
         A = gen_dct(m, d, mat_seed)
     else:
@@ -151,7 +149,7 @@ def make_instance(case, seed, gamma, loss_kind, gauss_mode=None):
     )
 
 
-def build_cs_problem(inst, norm_tol=1e-9):
+def build_cs_problem(inst):
     """ProblemSpec with f = gamma ||.||_1, h = loss, g = gamma ||.||."""
     reg = L1L2Regularizer(inst.gamma)
     loss = Loss(inst.loss_kind, inst.b)
@@ -166,7 +164,7 @@ def build_cs_problem(inst, norm_tol=1e-9):
         value_g=lambda x: gamma * float(np.linalg.norm(x)),
         map_A=map_A,
         lipschitz_ell=loss.lipschitz,
-        norm_A=spectral_norm(map_A, tol=norm_tol),
+        norm_A=spectral_norm(map_A),
     )
 
 

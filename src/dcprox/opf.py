@@ -3,7 +3,6 @@
 Assembles the relaxed placement model as a difference-of-convex objective
 over a polyhedral feasible set, loads the bundled network data, and
 post-processes solutions (rounding the placement indicators, dollar costs).
-The AC branch-flow model is ingested and serialized only, never solved.
 """
 
 import csv
@@ -22,13 +21,6 @@ N_BUS = 14
 DOLLARS_PER_UNIT = 1_040_000.0
 #: residual to which every projection onto the placement polyhedron is certified
 PROJECTION_TOL = 1e-9
-
-#: directed links of the branch-flow model: a source link into the
-#: generator bus plus the feeder tree oriented away from it.
-AC_LINKS = (
-    (0, 11), (11, 10), (11, 12), (10, 7), (12, 13), (12, 14),
-    (7, 5), (7, 8), (7, 9), (5, 4), (5, 6), (4, 2), (2, 3), (2, 1),
-)
 
 
 class NetworkLoadError(RuntimeError):
@@ -418,117 +410,4 @@ def postprocess_solution(x, net, layout, round_tol=1e-3, baseline_cost=None,
         baseline_cost_units=baseline_cost,
         cost_reduction=reduction,
         flags=flags,
-    )
-
-
-@dataclass(frozen=True)
-class ACModel:
-    """Branch-flow placement model: variable layout and symbolic constraints.
-
-    Construction and serialization only; solving the nonconvex model is out
-    of scope.  The decision vector is
-    [P^G, Q^G, v_1..14, I^_e (14), P_e (14), Q_e (14), P^PV (14),
-    Q^PV (14), X (14)] with links ordered as in AC_LINKS.
-    """
-
-    links: tuple
-    var_names: tuple
-    constraints: tuple      # (kind, text) pairs
-    bounds: tuple           # (name, lo, hi) triples
-
-    @property
-    def dim(self):
-        return len(self.var_names)
-
-    def constraint_tally(self):
-        tally = {}
-        for kind, _ in self.constraints:
-            tally[kind] = tally.get(kind, 0) + 1
-        return tally
-
-    def index(self, name):
-        return self.var_names.index(name)
-
-    def serialize(self):
-        return json.dumps(
-            {
-                "links": [list(l) for l in self.links],
-                "variables": list(self.var_names),
-                "constraints": [list(c) for c in self.constraints],
-                "bounds": [[n, lo, hi] for n, lo, hi in self.bounds],
-            },
-            indent=2,
-        )
-
-
-def load_ac_model(net):
-    """ACModel for the bundled network: 14 directed links, 100 variables."""
-    links = AC_LINKS
-    gen = net.generator_buses[0]
-    # Spanning check: every bus reached once from the source link.
-    heads = [j for _, j in links]
-    if sorted(heads) != list(range(1, N_BUS + 1)) or links[0] != (0, gen):
-        raise ValueError("link set is not a spanning arborescence from the source")
-    reached = {0}
-    for i, j in links:
-        if i not in reached:
-            raise ValueError("link set is not a spanning arborescence from the source")
-        reached.add(j)
-
-    names = ["P_G_%d" % gen, "Q_G_%d" % gen]
-    names += ["v_%d" % i for i in range(1, N_BUS + 1)]
-    for tag in ("Ihat", "P", "Q"):
-        names += ["%s_%d_%d" % (tag, i, j) for i, j in links]
-    for tag in ("P_PV", "Q_PV", "X"):
-        names += ["%s_%d" % (tag, i) for i in range(1, N_BUS + 1)]
-
-    out_links = {i: [(a, b) for a, b in links if a == i] for i in range(N_BUS + 1)}
-    cons = [("source-pin", "P_0_%d = 0" % gen), ("source-pin", "Q_0_%d = 0" % gen)]
-    for i, j in links:
-        for sym, pv, loss, dem, qual in (
-            ("P", "P_PV", "r", net.demand_p, "active"),
-            ("Q", "Q_PV", "Xr", net.demand_q, "reactive"),
-        ):
-            outflow = " + ".join(
-                "%s_%d_%d" % (sym, a, b) for a, b in out_links[j]
-            ) or "0"
-            gen_term = " + %s_G_%d" % (sym, j) if j in net.generator_buses else (
-                " - %s_%d_%d*Ihat_%d_%d" % (loss, i, j, i, j)
-            )
-            cons.append((
-                "%s-balance" % qual,
-                "%s_%d_%d + %s_%d%s - %.6g = %s"
-                % (sym, i, j, pv, j, gen_term, dem[j - 1], outflow),
-            ))
-    for i, j in links:
-        cons.append((
-            "voltage-drop",
-            "v_%d = v_%d - 2*(r_%d_%d*P_%d_%d + Xr_%d_%d*Q_%d_%d)"
-            " + (r_%d_%d^2 + Xr_%d_%d^2)*Ihat_%d_%d"
-            % (j, i, i, j, i, j, i, j, i, j, i, j, i, j, i, j),
-        ))
-    for i, j in links:
-        cons.append((
-            "current-flow",
-            "Ihat_%d_%d*v_%d = P_%d_%d^2 + Q_%d_%d^2" % (i, j, i, i, j, i, j),
-        ))
-    cons.append((
-        "penetration",
-        "sum_i P_PV_i >= %.6g" % (0.5 * net.total_demand),
-    ))
-    for i in range(1, N_BUS + 1):
-        cons.append(("pv-coupling", "0 <= P_PV_%d <= X_%d*%.6g" % (i, i, net.p_pv_max)))
-        cons.append(("pv-coupling", "0 <= Q_PV_%d <= X_%d*%.6g" % (i, i, net.q_pv_max)))
-
-    bounds = [("P_G_%d" % gen, 0.0, net.p_g_max), ("Q_G_%d" % gen, 0.0, net.q_g_max)]
-    bounds += [("v_%d" % i, net.v_min**2, net.v_max**2) for i in range(1, N_BUS + 1)]
-    bounds += [("Ihat_%d_%d" % l, net.i_min**2, net.i_max**2) for l in links]
-    bounds += [("P_%d_%d" % l, -net.line_p_max, net.line_p_max) for l in links]
-    bounds += [("Q_%d_%d" % l, -net.line_q_max, net.line_q_max) for l in links]
-    bounds += [("X_%d" % i, 0.0, 1.0) for i in range(1, N_BUS + 1)]
-    return ACModel(
-        links=links,
-        var_names=tuple(names),
-        constraints=tuple(cons),
-        bounds=tuple(bounds),
     )

@@ -38,20 +38,6 @@ _LOSS_OF_RESIDUAL = {
     ),
 }
 
-
-def least_squares_value_grad(z, b):
-    """Value and gradient of 0.5 ||z - b||^2.  Gradient Lipschitz modulus 1."""
-    return Loss("least-squares", b).value_grad(z)
-
-
-def lorentzian_value_grad(z, b):
-    """Value and gradient of sum_i log(1 + (z_i - b_i)^2).
-
-    The gradient 2 r / (1 + r^2) is Lipschitz continuous with modulus 2.
-    """
-    return Loss("lorentzian", b).value_grad(z)
-
-
 LOSS_LIPSCHITZ = {"least-squares": 1.0, "lorentzian": 2.0}
 
 
@@ -59,7 +45,10 @@ LOSS_LIPSCHITZ = {"least-squares": 1.0, "lorentzian": 2.0}
 class Loss:
     """A loss phi applied to Az, with its target and gradient modulus.
 
-    value and grad each evaluate only their own formula; value_grad both.
+    value and grad each evaluate only their own formula.  The least-squares
+    loss 0.5 ||z - b||^2 has a 1-Lipschitz gradient; the Lorentzian loss
+    sum_i log(1 + (z_i - b_i)^2) has the gradient 2 r / (1 + r^2), which is
+    2-Lipschitz.
     """
 
     kind: str  # "least-squares" | "lorentzian"
@@ -79,26 +68,16 @@ class Loss:
     def grad(self, z):
         return _LOSS_OF_RESIDUAL[self.kind][1](_residual(z, self.b))
 
-    def value_grad(self, z):
-        value, grad = _LOSS_OF_RESIDUAL[self.kind]
-        r = _residual(z, self.b)
-        return value(r), grad(r)
-
 
 @dataclass(frozen=True)
 class L1L2Regularizer:
-    """The weight and norm coefficient of gamma (||x||_1 - alpha ||x||)."""
+    """The weight of the L1-L2 regularizer gamma (||x||_1 - ||x||)."""
 
     gamma: float
-    alpha: float = 1.0
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
 
     def value(self, x):
-        return self.gamma * (
-            float(np.abs(x).sum()) - self.alpha * float(np.linalg.norm(x))
-        )
+        return self.gamma * (float(np.abs(x).sum()) - float(np.linalg.norm(x)))

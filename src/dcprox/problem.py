@@ -1,7 +1,7 @@
 """Problem and parameter data model shared by all solvers."""
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -16,7 +16,10 @@ class ProblemSpec:
     grad_h evaluates the gradient of the smooth term at points of the image
     space of map_A; subgrad_g returns one limiting subgradient of g.
     lipschitz_ell is the Lipschitz modulus of grad_h, weak_convexity_beta the
-    weak-convexity modulus of g, norm_A a certified upper bound on ||A||.
+    weak-convexity modulus of g, norm_A the value used for ||A|| in the step
+    rule.  cs sets it from linop.spectral_norm, a power-iteration estimate
+    that is not a certified upper bound: on least-squares cases 1 and 2 it
+    lies below ||A|| by up to 1.6e-7 relative (ROADMAP item 2).
     """
 
     prox_fC: Callable[[np.ndarray, float], np.ndarray]
@@ -53,8 +56,7 @@ class SolverParams:
     restart_period: Optional[int] = 50
     max_iter: int = 3000
     stop_rel_tol: float = 1e-8
-    tau_sequence: Optional[Sequence[float]] = None
-    keep_iterates: Optional[bool] = None
+    keep_iterates: bool = False
 
     def __post_init__(self):
         if self.delta <= 0:

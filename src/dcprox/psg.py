@@ -39,20 +39,6 @@ def extrapolation_coeffs(state, lambda_bar, mu_bar, tau_n, restart_period=None):
     return lam, mu, nxt
 
 
-def psg_step(spec, x_n, x_prev, g_n, lam, mu, tau):
-    """One proximal subgradient update with two-point extrapolation.
-
-    Forms u_n = x_n + lam (x_n - x_prev), v_n = x_n + mu (x_n - x_prev) and
-    returns prox_{tau (f + i_C)}(v_n - tau A* grad_h(A u_n) + tau g_n).
-    """
-    d = x_n - x_prev
-    u = x_n + lam * d
-    v = x_n + mu * d
-    grad = spec.map_A.adjoint(spec.grad_h(spec.map_A.apply(u)))
-    w = v - tau * grad + tau * g_n
-    return spec.prox_fC(w, tau)
-
-
 def lyapunov_c(spec, params):
     """The quadratic weight c = (ell ||A||^2 lambda_bar + mu_bar) / 2."""
     return 0.5 * (
@@ -74,14 +60,13 @@ def iterate(spec, x0, params, schedule, c=0.0, delta=0.0, wrap_errors=False):
     x = np.array(x0, dtype=float)
     if spec.is_feasible is not None and not spec.is_feasible(x):
         raise ValueError("starting point is infeasible")
-    keep = params.keep_iterates if params.keep_iterates is not None else x.size <= 2048
 
     def objective(x, Ax):
         return spec.value_f(x) + spec.value_h(Ax) - spec.value_g(x)
 
     Ax = spec.map_A.apply(x)
     f0 = objective(x, Ax)
-    trace = IterateTrace(iterates=[] if keep else None)
+    trace = IterateTrace(iterates=[] if params.keep_iterates else None)
     trace.record(f0, 0.0, f0, 0.0, 0.0, 0.0, x)
 
     state = ExtrapolationState()
@@ -147,15 +132,12 @@ def solve(spec, x0, params):
     tau_bar = tau_upper_bound(spec, params)
 
     def schedule(n, state):
-        tau = tau_bar if params.tau_sequence is None else float(params.tau_sequence[n])
-        if not (0.0 < tau <= tau_bar * (1.0 + 1e-12)):
-            raise ValueError("tau_sequence value outside (0, tau_upper_bound]")
         lam, mu, state = extrapolation_coeffs(
-            state, params.lambda_bar, params.mu_bar, tau, params.restart_period
+            state, params.lambda_bar, params.mu_bar, tau_bar, params.restart_period
         )
         assert 0.0 <= lam <= params.lambda_bar
-        assert 0.0 <= mu <= params.mu_bar * tau
-        return tau, lam, mu, state
+        assert 0.0 <= mu <= params.mu_bar * tau_bar
+        return tau_bar, lam, mu, state
 
     return iterate(spec, x0, params, schedule, c=lyapunov_c(spec, params),
                    delta=params.delta, wrap_errors=True)

@@ -180,7 +180,8 @@ def test_criterion_5_zero_momentum_equivalence():
     x0 = rng.standard_normal(d)
     a = psg_solve(spec, x0, flat)
     g = gppa_solve(spec, x0, BaselineParams(step_tau=tau, max_iter=100,
-                                            stop_rel_tol=0.0))
+                                            stop_rel_tol=0.0,
+                                            keep_iterates=True))
     diff = max(float(np.max(np.abs(xa - xb)))
                for xa, xb in zip(a.trace.iterates, g.trace.iterates))
     ok = diff <= 1e-12

@@ -71,7 +71,8 @@ def test_zero_momentum_psg_equals_gppa_trajectory():
     tau = tau_upper_bound(spec, flat)
     a = psg_solve(spec, np.zeros(inst.d), flat)
     b = gppa_solve(spec, np.zeros(inst.d),
-                   BaselineParams(step_tau=tau, max_iter=100, stop_rel_tol=0.0))
+                   BaselineParams(step_tau=tau, max_iter=100, stop_rel_tol=0.0,
+                                  keep_iterates=True))
     diffs = [np.max(np.abs(xa - xb))
              for xa, xb in zip(a.trace.iterates, b.trace.iterates)]
     assert max(diffs) <= 1e-12
@@ -86,10 +87,17 @@ def test_baseline_rejects_infeasible_start():
         gppa_solve(guarded, np.zeros(inst.d), BaselineParams(step_tau=0.1))
 
 
-@pytest.mark.parametrize("keep, kept", [(None, True), (True, True), (False, False)])
+@pytest.mark.parametrize("keep, kept", [(None, False), (True, True), (False, False)])
 def test_baselines_keep_iterates_as_asked(keep, kept):
+    # keep=None leaves the option unset, so the default applies.
     inst, spec = make_problem()
-    params = BaselineParams(step_tau=0.2, max_iter=5, keep_iterates=keep)
-    for fn in (gppa_solve, pdcae_solve):
-        rep = fn(spec, np.zeros(inst.d), params)
-        assert (rep.trace.iterates is not None) == kept
+    opt = {} if keep is None else {"keep_iterates": keep}
+    x0 = np.zeros(inst.d)
+    reports = [fn(spec, x0, BaselineParams(step_tau=0.2, max_iter=5, **opt))
+               for fn in (gppa_solve, pdcae_solve)]
+    reports.append(psg_solve(spec, x0, SolverParams(max_iter=5, **opt)))
+    for rep in reports:
+        if kept:
+            assert len(rep.trace.iterates) == rep.iterations + 1
+        else:
+            assert rep.trace.iterates is None

@@ -1,7 +1,14 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from dcprox import bench, cli, cs
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def test_parse_config(tmp_path):
@@ -106,8 +113,13 @@ def test_cli_gen_round_trip(tmp_path, capsys):
     assert np.array_equal(inst.A.dense(), ref.A.dense())
 
 
-def test_cli_check_exit_code():
+def test_cli_check_exit_code(capsys):
     assert cli.main(["check"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[-1].endswith(" 0 failures")
+    assert not any(r.startswith("ac ") for r in rows)
+    assert any(r.startswith("feasible point penetration") and " PASS " in r
+               for r in rows)
 
 
 def test_run_checks_surfaces_injected_failure(capsys):
@@ -116,3 +128,14 @@ def test_run_checks_surfaces_injected_failure(capsys):
     out = capsys.readouterr().out
     assert failures == 1
     assert "injected breaker" in out and "FAIL" in out
+
+
+def test_package_imports_no_scipy():
+    # scipy is a test extra only: importing the package, the CLI and the
+    # experiment driver must not load it.
+    code = ("import sys, dcprox, dcprox.cli, dcprox.bench; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -241,24 +241,3 @@ def test_build_dcopf_makes_one_projector(net, monkeypatch):
     monkeypatch.setattr(PolyhedronProjector, "__init__", counting_init)
     opf.build_dcopf(net)
     assert len(made) == 1
-
-
-def test_ac_model_structure(net):
-    ac = opf.load_ac_model(net)
-    assert len(ac.links) == 14
-    assert ac.links[0] == (0, 11)
-    assert ac.dim == 100
-    assert len(set(ac.var_names)) == 100
-    assert ac.index("P_G_11") == 0
-    tally = ac.constraint_tally()
-    assert tally["active-balance"] == 14
-    assert tally["reactive-balance"] == 14
-    assert tally["voltage-drop"] == 14
-    assert tally["current-flow"] == 14
-    assert tally["penetration"] == 1
-    assert tally["pv-coupling"] == 28
-    assert tally["source-pin"] == 2
-    assert len(ac.bounds) == 2 + 14 * 5
-    data = json.loads(ac.serialize())
-    assert len(data["variables"]) == 100
-    assert len(data["links"]) == 14

@@ -8,7 +8,6 @@ from dcprox.psg import (
     check_decrease,
     extrapolation_coeffs,
     lyapunov_c,
-    psg_step,
     solve,
     tail_linear_fit,
 )
@@ -69,16 +68,22 @@ def test_extrapolation_rejects_bad_tau():
 
 
 def test_psg_step_zero_momentum_is_proximal_gradient():
+    # At n = 0 the kappa schedule gives lambda = mu = 0, so the first update
+    # is the proximal gradient step at tau_upper_bound.
     inst, spec = make_problem()
     rng = np.random.default_rng(1)
     x = rng.standard_normal(inst.d)
+    params = SolverParams(max_iter=1, stop_rel_tol=0.0)
+    rep = solve(spec, x, params)
+    assert rep.iterations == 1
+    assert rep.trace.lambdas[1] == 0.0 and rep.trace.mus[1] == 0.0
+    tau = tau_upper_bound(spec, params)
+    assert rep.trace.taus[1] == tau
     g = spec.subgrad_g(x)
-    tau = 0.3
-    got = psg_step(spec, x, x, g, 0.0, 0.0, tau)
     A = inst.A.dense()
     grad = A.T @ spec.grad_h(A @ x)
     want = cs.soft_threshold(x - tau * grad + tau * g, inst.gamma * tau)
-    assert np.allclose(got, want, atol=1e-14)
+    assert np.allclose(rep.x, want, atol=1e-14)
 
 
 def test_lyapunov_weight_value():
@@ -98,19 +103,6 @@ def test_solve_descends_and_converges():
     # trace invariants
     assert len(rep.trace) == rep.iterations + 1
     assert check_decrease(rep.trace, rep.lyapunov_c, 5e-25) <= 1e-12
-
-
-def test_solve_respects_tau_sequence():
-    inst, spec = make_problem()
-    params = SolverParams(max_iter=10, stop_rel_tol=0.0)
-    tau_bar = tau_upper_bound(spec, params)
-    ok = SolverParams(max_iter=10, stop_rel_tol=0.0,
-                      tau_sequence=[0.5 * tau_bar] * 10)
-    rep = solve(spec, np.zeros(inst.d), ok)
-    assert rep.trace.taus[-1] == pytest.approx(0.5 * tau_bar)
-    bad = SolverParams(max_iter=10, tau_sequence=[2.0 * tau_bar] * 10)
-    with pytest.raises(ValueError):
-        solve(spec, np.zeros(inst.d), bad)
 
 
 def test_solve_rejects_infeasible_start():
