@@ -3,18 +3,12 @@ composite problems, with sparse-recovery and power-flow case studies."""
 
 from .baselines import BaselineParams, gppa_solve, pdcae_solve
 from .linop import LinearMap, adjoint_mismatch, spectral_norm
-from .oracles import (
-    L1L2Regularizer,
-    Loss,
-    norm_subgradient,
-    soft_threshold,
-)
+from .oracles import Loss, norm_subgradient, soft_threshold
 from .polyhedron import (
     InfeasiblePolyhedronError,
     PolyhedralSet,
     PolyhedronProjector,
     ProjectionError,
-    feasible_point,
     project,
 )
 from .problem import (
@@ -36,9 +30,9 @@ from .psg import (
 __all__ = [
     "BaselineParams", "gppa_solve", "pdcae_solve",
     "LinearMap", "adjoint_mismatch", "spectral_norm",
-    "L1L2Regularizer", "Loss", "norm_subgradient", "soft_threshold",
+    "Loss", "norm_subgradient", "soft_threshold",
     "InfeasiblePolyhedronError", "PolyhedralSet", "PolyhedronProjector",
-    "ProjectionError", "feasible_point", "project",
+    "ProjectionError", "project",
     "IterateTrace", "ProblemSpec", "SolveReport", "SolverParams",
     "tau_upper_bound",
     "ExtrapolationState", "check_decrease", "extrapolation_coeffs",

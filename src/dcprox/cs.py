@@ -7,8 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import LinearMap, spectral_norm
-from .oracles import L1L2Regularizer, Loss, norm_subgradient, soft_threshold
+from .linop import LinearMap, gram_spectrum
+# unused here: kept only because perfbench's tracer patches cs.spectral_norm
+from .linop import spectral_norm  # noqa: F401
+from .oracles import Loss, norm_subgradient, soft_threshold
 from .problem import ProblemSpec
 
 #: case id -> (matrix kind, m, d, s)
@@ -25,15 +27,17 @@ CASES = {
 
 
 def gen_gaussian(m, d, seed, mode="raw"):
-    """m x d Gaussian sensing matrix.
+    """m x d Gaussian sensing matrix and an upper bound on its spectral norm.
 
-    mode selects the conditioning of the ensemble:
+    Returns (A, norm_A).  mode selects the conditioning of the ensemble:
       "raw"          i.i.d. standard normal entries,
       "scaled"       entries N(0, 1/m), the usual compressed-sensing scaling,
       "orthonormal"  rows orthonormalized (QR of the transpose), so that
-                     A A^T = I and the spectral norm is exactly 1.
-    Full row rank is verified and the draw is repeated on failure
-    (probability ~ 0).
+                     A A^T = I to rounding and norm_A is 1.
+    For "raw" and "scaled" one eigendecomposition of A A^T verifies full
+    row rank (lambda_min > 1e-12 lambda_max; the draw is repeated on
+    failure, probability ~ 0) and gives the certified norm_A of
+    linop.gram_spectrum.
     """
     if m > d:
         raise ValueError("need m <= d")
@@ -44,10 +48,12 @@ def gen_gaussian(m, d, seed, mode="raw"):
         A = rng.standard_normal((m, d))
         if mode == "orthonormal":
             Q, _ = np.linalg.qr(A.T)
-            return np.ascontiguousarray(Q[:, :m].T)
-        s = np.linalg.svd(A, compute_uv=False)
-        if s[-1] > 1e-10 * s[0]:
-            return A / np.sqrt(m) if mode == "scaled" else A
+            return np.ascontiguousarray(Q[:, :m].T), 1.0
+        if mode == "scaled":
+            A /= np.sqrt(m)
+        lam, norm_A = gram_spectrum(A)
+        if lam[0] > 1e-12 * lam[-1]:
+            return A, norm_A
     raise RuntimeError("failed to draw a full-row-rank Gaussian matrix")
 
 
@@ -58,7 +64,7 @@ def gen_dct(m, d, seed):
     adjoint(y) = idct(y zero-filled to length d), each one real FFT of
     length 2d, so a product costs O(d log d) and no m x d matrix is
     formed.  Rows are orthonormal, so A A^T = I and the spectral norm is
-    exactly 1.
+    exactly 1: make_instance gives it norm_A = 1.0.
     """
     if m > d:
         raise ValueError("need m <= d")
@@ -106,9 +112,14 @@ def ground_truth_error(x, x_g):
 
 @dataclass(frozen=True)
 class CSInstance:
-    """One sensing map, target, and ground truth with its regularizer."""
+    """One sensing map, target, and ground truth with its regularizer.
+
+    norm_A is an upper bound on the spectral norm of A, set where A is made
+    (1.0 for maps with orthonormal rows, linop.gram_spectrum otherwise).
+    """
 
     A: LinearMap
+    norm_A: float
     b: np.ndarray
     x_g: np.ndarray
     gamma: float
@@ -137,24 +148,28 @@ def make_instance(case, seed, gamma, loss_kind):
     mat_seed, gt_seed = (int(v) for v in np.random.SeedSequence(seed).generate_state(2))
     if kind == "gaussian":
         mode = "scaled" if loss_kind == "least-squares" else "orthonormal"
-        A = LinearMap.from_matrix(gen_gaussian(m, d, mat_seed, mode=mode))
+        matrix, norm_A = gen_gaussian(m, d, mat_seed, mode=mode)
+        A = LinearMap.from_matrix(matrix)
     elif kind == "dct":
-        A = gen_dct(m, d, mat_seed)
+        A, norm_A = gen_dct(m, d, mat_seed), 1.0
     else:
         raise ValueError("unknown matrix kind %r" % (kind,))
     x_g = gen_ground_truth(d, s, gt_seed)
     return CSInstance(
-        A=A, b=A.apply(x_g), x_g=x_g, gamma=float(gamma),
+        A=A, norm_A=norm_A, b=A.apply(x_g), x_g=x_g, gamma=float(gamma),
         loss_kind=loss_kind, seed=int(seed), matrix_kind=kind, s=int(s),
     )
 
 
 def build_cs_problem(inst):
-    """ProblemSpec with f = gamma ||.||_1, h = loss, g = gamma ||.||."""
-    reg = L1L2Regularizer(inst.gamma)
+    """ProblemSpec with f = gamma ||.||_1, h = loss, g = gamma ||.||.
+
+    norm_A is the instance's bound; no norm is estimated here.
+    """
+    gamma = inst.gamma
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
     loss = Loss(inst.loss_kind, inst.b)
-    map_A = inst.A
-    gamma = reg.gamma
     return ProblemSpec(
         prox_fC=lambda w, tau: soft_threshold(w, gamma * tau),
         grad_h=loss.grad,
@@ -162,9 +177,9 @@ def build_cs_problem(inst):
         value_f=lambda x: gamma * float(np.abs(x).sum()),
         value_h=loss.value,
         value_g=lambda x: gamma * float(np.linalg.norm(x)),
-        map_A=map_A,
+        map_A=inst.A,
         lipschitz_ell=loss.lipschitz,
-        norm_A=spectral_norm(map_A),
+        norm_A=inst.norm_A,
     )
 
 
@@ -187,9 +202,13 @@ def save_instance(inst, out_dir):
 
 
 def load_instance(in_dir):
-    """Read an instance bundle written by save_instance."""
+    """Read an instance bundle written by save_instance.
+
+    norm_A is the Gram bound of the loaded matrix (linop.gram_spectrum).
+    """
     src = pathlib.Path(in_dir)
-    A = LinearMap.from_matrix(np.loadtxt(src / "matrix.csv", delimiter=",", ndmin=2))
+    matrix = np.loadtxt(src / "matrix.csv", delimiter=",", ndmin=2)
+    _, norm_A = gram_spectrum(matrix)
     b = np.loadtxt(src / "b.csv", delimiter=",")
     x_g = np.loadtxt(src / "ground_truth.csv", delimiter=",")
     meta = {}
@@ -199,6 +218,6 @@ def load_instance(in_dir):
         for k, v in reader:
             meta[k] = json.loads(v)
     return CSInstance(
-        A=A, b=b, x_g=x_g, gamma=meta["gamma"], loss_kind=meta["loss_kind"],
+        A=LinearMap.from_matrix(matrix), norm_A=norm_A, b=b, x_g=x_g, gamma=meta["gamma"], loss_kind=meta["loss_kind"],
         seed=meta["seed"], matrix_kind=meta["matrix_kind"], s=meta["s"],
     )

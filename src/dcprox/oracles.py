@@ -67,17 +67,3 @@ class Loss:
 
     def grad(self, z):
         return _LOSS_OF_RESIDUAL[self.kind][1](_residual(z, self.b))
-
-
-@dataclass(frozen=True)
-class L1L2Regularizer:
-    """The weight of the L1-L2 regularizer gamma (||x||_1 - ||x||)."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-
-    def value(self, x):
-        return self.gamma * (float(np.abs(x).sum()) - float(np.linalg.norm(x)))

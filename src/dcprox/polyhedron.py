@@ -261,8 +261,3 @@ class PolyhedronProjector:
 def project(set_, w, tol=1e-8, max_iter=None):
     """One-shot projection of w onto a PolyhedralSet."""
     return PolyhedronProjector(set_, tol=tol, max_iter=max_iter).project(w)
-
-
-def feasible_point(set_, tol=1e-8, max_iter=None):
-    """Some point of the set: PolyhedronProjector.feasible_point, one-shot."""
-    return PolyhedronProjector(set_, tol=tol, max_iter=max_iter).feasible_point()

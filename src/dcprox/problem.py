@@ -16,10 +16,12 @@ class ProblemSpec:
     grad_h evaluates the gradient of the smooth term at points of the image
     space of map_A; subgrad_g returns one limiting subgradient of g.
     lipschitz_ell is the Lipschitz modulus of grad_h, weak_convexity_beta the
-    weak-convexity modulus of g, norm_A the value used for ||A|| in the step
-    rule.  cs sets it from linop.spectral_norm, a power-iteration estimate
-    that is not a certified upper bound: on least-squares cases 1 and 2 it
-    lies below ||A|| by up to 1.6e-7 relative (ROADMAP item 2).
+    weak-convexity modulus of g, norm_A an upper bound on ||A||, as the step
+    rule needs.  cs takes it from the instance: 1.0 for maps with
+    orthonormal rows (sampled DCT, row-orthonormal Gaussian), and for other
+    matrices sqrt(lambda_max + margin) from one eigendecomposition of
+    A A^T (linop.gram_spectrum), a certified bound about 1e-10 relative
+    above ||A|| on case 3.
     """
 
     prox_fC: Callable[[np.ndarray, float], np.ndarray]

@@ -15,7 +15,7 @@ from dcprox import bench, cs, opf
 from dcprox.baselines import BaselineParams, gppa_solve
 from dcprox.linop import LinearMap
 from dcprox.oracles import Loss, norm_subgradient, soft_threshold
-from dcprox.polyhedron import PolyhedronProjector, feasible_point
+from dcprox.polyhedron import PolyhedronProjector
 from dcprox.problem import ProblemSpec, SolverParams, tau_upper_bound
 from dcprox.psg import solve as psg_solve
 

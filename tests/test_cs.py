@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -18,17 +19,21 @@ def test_case_table_shapes():
 
 
 def test_gen_gaussian_modes():
-    A = cs.gen_gaussian(30, 80, 0)
+    A, norm_raw = cs.gen_gaussian(30, 80, 0)
     assert A.shape == (30, 80)
     assert abs(A.std() - 1.0) < 0.1
-    B = cs.gen_gaussian(30, 80, 0, mode="scaled")
-    assert np.allclose(B * np.sqrt(30), A)
-    Q = cs.gen_gaussian(30, 80, 0, mode="orthonormal")
+    B, norm_scaled = cs.gen_gaussian(30, 80, 0, mode="scaled")
+    # scaled in place: bit for bit the raw draw divided by sqrt(m)
+    assert np.array_equal(B, A / np.sqrt(30))
+    for M, bound in ((A, norm_raw), (B, norm_scaled)):
+        assert np.linalg.norm(M, 2) <= bound <= (1 + 1e-8) * np.linalg.norm(M, 2)
+    Q, norm_q = cs.gen_gaussian(30, 80, 0, mode="orthonormal")
     assert np.max(np.abs(Q @ Q.T - np.eye(30))) < 1e-12
+    assert norm_q == 1.0
 
 
 def test_gen_gaussian_full_row_rank():
-    A = cs.gen_gaussian(25, 60, 7)
+    A, _ = cs.gen_gaussian(25, 60, 7)
     s = np.linalg.svd(A, compute_uv=False)
     assert s[-1] > 1e-8
 
@@ -140,6 +145,44 @@ def test_build_cs_problem_prox_uses_scaled_threshold():
                        cs.soft_threshold(w, 0.2), atol=1e-15)
 
 
+def test_build_cs_problem_regularizer_value_and_gamma():
+    inst = cs.make_instance(("gaussian", 20, 50, 4), 0, 0.1, "least-squares")
+    spec = cs.build_cs_problem(inst)
+    x = np.zeros(inst.d)
+    x[:2] = [3.0, -4.0]
+    assert abs(spec.value_f(x) - spec.value_g(x) - 0.1 * (7.0 - 5.0)) < 1e-15
+    for gamma in (0.0, -0.1):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            cs.build_cs_problem(dataclasses.replace(inst, gamma=gamma))
+
+
+def test_case2_seed419_builds_with_certified_norm():
+    # power iteration stalled on this draw: sigma_1 and sigma_2 lie 3.5e-4 apart
+    inst = cs.make_instance(2, 419, 0.1, "least-squares")
+    spec = cs.build_cs_problem(inst)
+    exact = np.linalg.norm(inst.A.dense(), 2)
+    assert exact <= spec.norm_A <= (1 + 1e-8) * exact
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_least_squares_norm_is_certified_and_tight(case):
+    for seed in range(30):
+        inst = cs.make_instance(case, seed, 0.1, "least-squares")
+        exact = np.linalg.norm(inst.A.dense(), 2)
+        assert exact <= inst.norm_A <= (1 + 1e-8) * exact, seed
+
+
+@pytest.mark.parametrize("case, loss_kind", [
+    (1, "lorentzian"), (5, "least-squares"), (6, "least-squares"),
+    (5, "lorentzian"),
+])
+def test_orthonormal_rows_take_norm_one(case, loss_kind):
+    inst = cs.make_instance(case, 0, 0.1, loss_kind)
+    assert inst.norm_A == 1.0
+    assert cs.build_cs_problem(inst).norm_A == 1.0
+    assert np.linalg.norm(inst.A.dense(), 2) <= 1 + 1e-12
+
+
 def test_norm_estimate_matches_svd():
     inst = cs.make_instance(("gaussian", 20, 50, 4), 1, 0.1, "least-squares")
     spec = cs.build_cs_problem(inst)
@@ -158,3 +201,12 @@ def test_save_load_round_trip(tmp_path):
     assert back.loss_kind == inst.loss_kind
     assert back.matrix_kind == inst.matrix_kind
     assert back.s == inst.s
+
+
+def test_loaded_gaussian_bundle_bounds_its_norm(tmp_path):
+    inst = cs.make_instance(("gaussian", 20, 50, 4), 2, 0.1, "least-squares")
+    cs.save_instance(inst, tmp_path / "bundle")
+    back = cs.load_instance(tmp_path / "bundle")
+    exact = np.linalg.norm(back.A.dense(), 2)
+    assert exact <= back.norm_A <= (1 + 1e-8) * exact
+    assert cs.build_cs_problem(back).norm_A == back.norm_A

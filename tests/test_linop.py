@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from dcprox.linop import LinearMap, SpectralNormError, adjoint_mismatch, spectral_norm
+from dcprox.linop import (
+    LinearMap,
+    SpectralNormError,
+    adjoint_mismatch,
+    gram_spectrum,
+    spectral_norm,
+)
 
 
 def test_from_matrix_apply_adjoint():
@@ -43,6 +49,16 @@ def test_adjoint_mismatch_detects_wrong_adjoint():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     bad = LinearMap(lambda x: A @ x, lambda y: A @ y, 2, 2)
     assert adjoint_mismatch(bad) > 1e-3
+
+
+@pytest.mark.parametrize("shape", [(30, 50), (50, 30), (1, 7)])
+def test_gram_spectrum_bounds_norm(shape):
+    A = np.random.default_rng(4).standard_normal(shape)
+    lam, bound = gram_spectrum(A)
+    s = np.linalg.svd(A, compute_uv=False)
+    assert lam.shape == (min(shape),)
+    assert np.allclose(np.sqrt(np.maximum(lam[::-1], 0.0)), s, rtol=1e-10)
+    assert s[0] <= bound <= (1 + 1e-10) * s[0]
 
 
 def test_spectral_norm_matches_svd():

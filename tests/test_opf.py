@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dcprox import opf
-from dcprox.polyhedron import feasible_point
+from dcprox.polyhedron import PolyhedronProjector
 from dcprox.problem import SolverParams, tau_upper_bound
 from dcprox.psg import solve
 
@@ -125,7 +125,7 @@ def test_build_rejects_bad_gamma(net):
 
 def test_feasible_point_properties(built, net):
     _, set_, lay = built
-    x = feasible_point(set_, tol=1e-9)
+    x = PolyhedronProjector(set_, tol=1e-9).feasible_point()
     assert set_.contains(x, tol=1e-8)
     # penetration re-checked independently of the projection
     assert x[lay.ppv].sum() >= 0.5 * net.total_demand - 1e-8
@@ -163,7 +163,7 @@ def test_binary_relaxation_gap():
 
 def test_solver_reaches_good_binary_plan(built, net):
     spec, set_, lay = built
-    x0 = feasible_point(set_, tol=1e-9)
+    x0 = PolyhedronProjector(set_, tol=1e-9).feasible_point()
     rep = solve(spec, x0, SolverParams(max_iter=1000, keep_iterates=False))
     assert rep.status == "converged"
     assert rep.objective <= 1.93

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from dcprox.oracles import (
-    L1L2Regularizer,
-    Loss,
-    norm_subgradient,
-    soft_threshold,
-)
+from dcprox.oracles import Loss, norm_subgradient, soft_threshold
 
 
 def brute_force_prox_l1(w, t, halfwidth=4.0, n=80001):
@@ -104,11 +99,3 @@ def test_loss_kind_validation():
         Loss("huber", np.zeros(2))
     assert Loss("least-squares", np.zeros(2)).lipschitz == 1.0
     assert Loss("lorentzian", np.zeros(2)).lipschitz == 2.0
-
-
-def test_regularizer_value():
-    reg = L1L2Regularizer(0.1)
-    x = np.array([3.0, -4.0])
-    assert abs(reg.value(x) - 0.1 * (7.0 - 5.0)) < 1e-15
-    with pytest.raises(ValueError):
-        L1L2Regularizer(0.0)

@@ -1,0 +1,48 @@
+"""perfbench's tracer must not change what the set-up or a solve computes.
+
+`perfbench/layers.py` patches module functions of `dcprox.cs` while it
+traces a pass, and a traced pass must reproduce its untraced twin bit for
+bit.  This checks that contract on one small instance of each ensemble.
+"""
+
+import pathlib
+
+import numpy as np
+import pytest
+
+from dcprox import cs, psg
+from dcprox.problem import SolverParams
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def layers(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    return layers
+
+
+def build_and_solve(case):
+    inst = cs.make_instance(case, 3, 0.1, "least-squares")
+    spec = cs.build_cs_problem(inst)
+    rep = psg.solve(spec, np.zeros(inst.d), SolverParams(max_iter=60))
+    return spec.norm_A, inst.b, rep
+
+
+@pytest.mark.parametrize("case, span", [
+    (("gaussian", 30, 80, 4), "cs.gen_gaussian"),
+    (("dct", 30, 80, 4), "cs.gen_dct"),
+])
+def test_patched_build_is_bit_identical(layers, case, span):
+    norm_A, b, rep = build_and_solve(case)
+    tracer = layers.Tracer()
+    with tracer.patched():
+        t_norm_A, t_b, t_rep = build_and_solve(case)
+    assert span in [s["name"] for s in tracer.spans]
+    assert t_norm_A == norm_A
+    assert np.array_equal(t_b, b)
+    assert np.array_equal(t_rep.x, rep.x)
+    assert (t_rep.iterations, t_rep.status, t_rep.objective) == (
+        rep.iterations, rep.status, rep.objective)
+    assert t_rep.trace.objective == rep.trace.objective

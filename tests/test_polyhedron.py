@@ -7,7 +7,6 @@ from dcprox.polyhedron import (
     PolyhedralSet,
     PolyhedronProjector,
     ProjectionError,
-    feasible_point,
     project,
 )
 
@@ -93,14 +92,14 @@ def test_empty_inequality_system_raises():
     set_ = PolyhedralSet(2, G=np.array([[-1.0, 0.0]]), g=np.array([-2.0]),
                          lo=-np.ones(2), hi=np.ones(2))
     with pytest.raises((ProjectionError, InfeasiblePolyhedronError)):
-        feasible_point(set_)
+        PolyhedronProjector(set_).feasible_point()
 
 
 def test_feasible_point_satisfies_constraints():
     rng = np.random.default_rng(3)
     for _ in range(5):
         set_ = random_polytope(rng)
-        x = feasible_point(set_, tol=1e-9)
+        x = PolyhedronProjector(set_, tol=1e-9).feasible_point()
         assert set_.contains(x, tol=1e-8)
 
 
