@@ -1,6 +1,7 @@
 """Baseline algorithms sharing the oracles of the extrapolated solver."""
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .psg import extrapolation_coeffs, iterate
 
@@ -13,7 +14,7 @@ class BaselineParams:
     max_iter: int = 3000
     stop_rel_tol: float = 1e-8
     extrapolation: bool = False  # pDCAe momentum on/off
-    restart_period: int = 50
+    restart_period: Optional[int] = 50
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -23,6 +24,8 @@ class BaselineParams:
             raise ValueError("max_iter must be positive")
         if self.stop_rel_tol < 0:
             raise ValueError("stop_rel_tol must be nonnegative")
+        if self.restart_period is not None and self.restart_period <= 0:
+            raise ValueError("restart_period must be positive or None")
 
 
 def gppa_solve(spec, x0, params):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import pathlib
 from dataclasses import dataclass
 
@@ -62,31 +63,45 @@ def gen_dct(m, d, seed):
 
     Returns a matrix-free LinearMap: apply(x) = dct(x)[rows] and
     adjoint(y) = idct(y zero-filled to length d), each one real FFT of
-    length 2d, so a product costs O(d log d) and no m x d matrix is
-    formed.  Rows are orthonormal, so A A^T = I and the spectral norm is
-    exactly 1: make_instance gives it norm_A = 1.0.
+    length d by Makhoul's even/odd reordering (IEEE TASSP 1980), so a
+    product costs O(d log d) and no m x d matrix is formed.  Rows are
+    orthonormal, so A A^T = I and the spectral norm is exactly 1:
+    make_instance gives it norm_A = 1.0.
     """
     if m > d:
         raise ValueError("need m <= d")
     rng = np.random.default_rng(seed)
     rows = np.sort(rng.choice(d, size=m, replace=False))
-    # dct(x)[k] = c_k Re(exp(-i pi k / 2d) rfft(x, 2d)[k]), c_k the ortho weight
+    # v = x[perm] holds the even entries of x, then the odd ones reversed, and
+    # dct(x)[k] = c_k Re(exp(-i pi k / 2d) V_k) for V = fft(v), c_k the ortho
+    # weight.  v is real, so V_k = conj(V_{d-k}): row k reads rfft bin
+    # j = min(k, d - k), and rows above d/2 flip the sign of the imaginary part.
+    perm = np.concatenate([np.arange(0, d, 2), np.arange(d - 1 - d % 2, 0, -2)])
+    inv = np.argsort(perm)
+    high = rows > d // 2
+    j = np.where(high, d - rows, rows)
     c = np.where(rows == 0, np.sqrt(1.0 / d), np.sqrt(2.0 / d))
     phase = np.pi * rows / (2 * d)
     wr = c * np.cos(phase)
-    wi = -c * np.sin(phase)
-    # irfft counts every bin but the zeroth twice and divides by 2d; undo both
-    spread = np.where(rows == 0, 2.0 * d, float(d)) * (wr - 1j * wi)
-    n = 2 * d
+    wi = np.where(high, c, -c) * np.sin(phase)
+    # irfft counts every bin but the zeroth and (even d) the d/2-th twice and
+    # divides by d; undo both
+    spread = np.where((j == 0) | (2 * j == d), float(d), 0.5 * d) * (wr - 1j * wi)
+    # rows is sorted, so the low rows (bins distinct) come before the high
+    # rows (bins distinct among themselves, possibly shared with a low row)
+    h = int(np.count_nonzero(~high))
+    j_low, j_high = j[:h], j[h:]
+    spread_low, spread_high = spread[:h], spread[h:]
 
     def apply(x):
-        z = np.fft.rfft(x, n)[rows]
+        z = np.fft.rfft(x[perm])[j]
         return wr * z.real - wi * z.imag
 
     def adjoint(y):
-        z = np.zeros(d + 1, dtype=complex)
-        z[rows] = spread * y
-        return np.fft.irfft(z, n)[:d]
+        z = np.zeros(d // 2 + 1, dtype=complex)
+        z[j_low] = spread_low * y[:h]
+        z[j_high] += spread_high * y[h:]
+        return np.fft.irfft(z, d)[inv]
 
     return LinearMap(apply, adjoint, d, m)
 
@@ -176,7 +191,7 @@ def build_cs_problem(inst):
         subgrad_g=lambda x: gamma * norm_subgradient(x),
         value_f=lambda x: gamma * float(np.abs(x).sum()),
         value_h=loss.value,
-        value_g=lambda x: gamma * float(np.linalg.norm(x)),
+        value_g=lambda x: gamma * math.sqrt(x @ x),
         map_A=inst.A,
         lipschitz_ell=loss.lipschitz,
         norm_A=inst.norm_A,

@@ -1,5 +1,6 @@
 """Extrapolated proximal subgradient solver with restart and monitoring."""
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ def extrapolation_coeffs(state, lambda_bar, mu_bar, tau_n, restart_period=None):
     ratio = (state.kappa_prev - 1.0) / state.kappa_curr
     lam = lambda_bar * ratio
     mu = mu_bar * tau_n * ratio
-    kappa_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * state.kappa_curr**2))
+    kappa_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.kappa_curr**2))
     count = state.iter_since_restart + 1
     if restart_period is not None and count >= restart_period:
         nxt = ExtrapolationState(1.0, 1.0, 0)
@@ -88,10 +89,12 @@ def iterate(spec, x0, params, schedule, c=0.0, delta=0.0, wrap_errors=False):
             if wrap_errors:
                 raise RuntimeError("prox oracle failed at iteration %d" % n) from exc
             raise
-        if not np.all(np.isfinite(x_next)):
+        dx = x_next - x
+        step = math.sqrt(dx @ dx)
+        # a non-finite entry of x_next makes the step non-finite, so only then
+        # scan x_next: a finite x_next whose step overflows passes
+        if not math.isfinite(step) and not np.isfinite(x_next).all():
             raise FloatingPointError("non-finite iterate at iteration %d" % n)
-
-        step = float(np.linalg.norm(x_next - x))
         Ax_next = spec.map_A.apply(x_next)
         fval = objective(x_next, Ax_next)
         lyap = fval + c * step * step
@@ -99,7 +102,7 @@ def iterate(spec, x0, params, schedule, c=0.0, delta=0.0, wrap_errors=False):
         max_violation = max(max_violation, violation)
         trace.record(fval, step, lyap, lam, 0.0 if mu is None else mu, tau, x_next)
 
-        xn_norm = float(np.linalg.norm(x))
+        xn_norm = math.sqrt(x @ x)
         rel = step / xn_norm if xn_norm > 0 else step
         x_prev, x = x, x_next
         Ax_prev, Ax = Ax, Ax_next

@@ -56,7 +56,10 @@ def test_gen_dct_rows_of_orthonormal_transform():
         assert np.min(np.max(np.abs(full - row[None, :]), axis=1)) < 1e-12
 
 
-@pytest.mark.parametrize("m, d", [(12, 32), (13, 33), (180, 640)])
+# (31, 32), (32, 32) and (33, 33) take row 0, row d/2 and every pair k, d - k
+# that shares one bin of the length-d real FFT, for even and odd d
+@pytest.mark.parametrize("m, d", [(12, 32), (13, 33), (31, 32), (32, 32), (33, 33),
+                                  (180, 640)])
 def test_dct_map_matches_scipy_rows(m, d):
     seed = 5
     A = cs.gen_dct(m, d, seed)

@@ -16,16 +16,16 @@ from dcprox.psg import solve
 LOSS_DEFAULTS = {"least-squares": (0.1, 3000), "lorentzian": (0.001, 4000)}
 
 
-def sweep_params(spec, solver, max_iter, stop_rel_tol=1e-8):
-    """The step rules of bench._solve_cell, keeping every iterate."""
+def sweep_params(spec, solver, max_iter, stop_rel_tol=1e-8, keep_iterates=True):
+    """The step rules of bench._solve_cell, keeping every iterate by default."""
     if solver == "proposed":
         return SolverParams(max_iter=max_iter, stop_rel_tol=stop_rel_tol,
-                            keep_iterates=True)
+                            keep_iterates=keep_iterates)
     base_tau = 1.0 / (spec.lipschitz_ell * spec.norm_A**2)
     return BaselineParams(
         step_tau=0.8 * base_tau if solver == "gppa" else base_tau,
         max_iter=max_iter, stop_rel_tol=stop_rel_tol,
-        extrapolation=solver == "pdcae", keep_iterates=True,
+        extrapolation=solver == "pdcae", keep_iterates=keep_iterates,
     )
 
 
@@ -106,3 +106,54 @@ def test_large_dct_cases_smoke(case):
         assert np.all(np.isfinite(rep.x))
         assert rep.objective <= f0
         assert counted.map_A.counts == {"apply": 1 + 30, "adjoint": 30}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("loss", ["least-squares", "lorentzian"])
+@pytest.mark.parametrize("case", [5, 6])
+def test_dct_map_solves_like_its_matrix(case, loss, seed):
+    gamma, max_iter = LOSS_DEFAULTS[loss]
+    spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, loss))
+    dense = dataclasses.replace(
+        spec, map_A=LinearMap.from_matrix(spec.map_A.dense()))
+    for solver in ("proposed", "gppa", "pdcae"):
+        params = sweep_params(spec, solver, max_iter, keep_iterates=False)
+        fft, mat = run_new(spec, solver, params), run_new(dense, solver, params)
+        assert (fft.status, fft.iterations) == (mat.status, mat.iterations)
+        assert abs(fft.objective - mat.objective) <= 1e-12 * abs(mat.objective)
+
+
+def prox_failing_at(spec, k, bad):
+    """spec whose prox_fC returns a finite point except at call k (0-based),
+    where entry 0 of its output is replaced by bad."""
+    calls = [0]
+
+    def prox_fC(w, tau):
+        out = spec.prox_fC(w, tau)
+        if calls[0] == k:
+            out[0] = bad
+        calls[0] += 1
+        return out
+
+    return dataclasses.replace(spec, prox_fC=prox_fC)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
+def test_non_finite_iterate_raises_at_its_iteration(solver, bad):
+    inst = cs.make_instance(("gaussian", 40, 120, 6), 3, 0.1, "least-squares")
+    spec = prox_failing_at(cs.build_cs_problem(inst), 7, bad)
+    params = sweep_params(spec, solver, 50, stop_rel_tol=0.0)
+    with pytest.raises(FloatingPointError, match="non-finite iterate at iteration 7$"):
+        run_new(spec, solver, params)
+
+
+@pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
+def test_finite_iterate_whose_step_overflows_does_not_raise(solver):
+    inst = cs.make_instance(("gaussian", 40, 120, 6), 3, 0.1, "least-squares")
+    spec = prox_failing_at(cs.build_cs_problem(inst), 7, 1e200)
+    with np.errstate(over="ignore"):  # ||x_8 - x_7||^2 overflows, by design
+        rep = run_new(spec, solver, sweep_params(spec, solver, 8, stop_rel_tol=0.0))
+    assert rep.iterations == 8
+    assert rep.trace.step_norms[-1] == np.inf
+    assert np.isfinite(rep.x).all()

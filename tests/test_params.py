@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dcprox.baselines import BaselineParams
 from dcprox.linop import LinearMap
 from dcprox.problem import IterateTrace, ProblemSpec, SolverParams, tau_upper_bound
 
@@ -57,6 +58,15 @@ def test_solver_params_validation():
     with pytest.raises(ValueError):
         SolverParams(restart_period=0)
     SolverParams(restart_period=None)  # no restart is allowed
+
+
+def test_baseline_params_reject_nonpositive_restart_period():
+    # restart_period = 0 would reset the momentum every iteration: pDCAe
+    # would silently be GPPA
+    for period in (0, -1):
+        with pytest.raises(ValueError, match="restart_period must be positive or None"):
+            BaselineParams(step_tau=1.0, extrapolation=True, restart_period=period)
+    BaselineParams(step_tau=1.0, extrapolation=True, restart_period=None)
 
 
 def test_problem_spec_validation():
