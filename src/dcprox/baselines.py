@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 from typing import Optional
 
-from .psg import extrapolation_coeffs, iterate
+from .psg import iterate, momentum_table
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,7 @@ def gppa_solve(spec, x0, params):
 
     x_{n+1} = prox_{tau (f + i_C)}(x_n - tau grad(h o A)(x_n) + tau g_n).
     """
-    return iterate(spec, x0, params,
-                   lambda n, state: (params.step_tau, 0.0, None, state))
+    return iterate(spec, x0, params, params.step_tau, [0.0])
 
 
 def pdcae_solve(spec, x0, params):
@@ -49,11 +48,6 @@ def pdcae_solve(spec, x0, params):
     """
     if not params.extrapolation:
         return gppa_solve(spec, x0, params)
-
-    def schedule(n, state):
-        theta, _, state = extrapolation_coeffs(
-            state, 1.0, 0.0, params.step_tau, params.restart_period
-        )
-        return params.step_tau, theta, None, state
-
-    return iterate(spec, x0, params, schedule)
+    thetas, _ = momentum_table(1.0, 0.0, params.step_tau,
+                               params.restart_period, params.max_iter)
+    return iterate(spec, x0, params, params.step_tau, thetas)

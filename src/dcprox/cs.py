@@ -27,6 +27,22 @@ CASES = {
 }
 
 
+def _standard_normal_column_major(rng, m, d):
+    """rng.standard_normal((m, d)), the same numbers, stored column-major.
+
+    Rows are drawn in 64-row blocks through one row-major buffer and copied
+    in, so no second m x d array (14.7 MB on case 3) is formed.
+    """
+    block = 64
+    A = np.empty((m, d), order="F")
+    buf = np.empty((min(block, m), d))
+    for i in range(0, m, block):
+        rows = buf[:min(block, m - i)]
+        rng.standard_normal(out=rows)
+        A[i:i + len(rows)] = rows
+    return A
+
+
 def gen_gaussian(m, d, seed, mode="raw"):
     """m x d Gaussian sensing matrix and an upper bound on its spectral norm.
 
@@ -38,7 +54,9 @@ def gen_gaussian(m, d, seed, mode="raw"):
     For "raw" and "scaled" one eigendecomposition of A A^T verifies full
     row rank (lambda_min > 1e-12 lambda_max; the draw is repeated on
     failure, probability ~ 0) and gives the certified norm_A of
-    linop.gram_spectrum.
+    linop.gram_spectrum.  A is column-major, for the support-column
+    products of LinearMap.from_matrix; the raw draw equals
+    rng.standard_normal((m, d)) bit for bit.
     """
     if m > d:
         raise ValueError("need m <= d")
@@ -46,10 +64,12 @@ def gen_gaussian(m, d, seed, mode="raw"):
         raise ValueError("unknown mode %r" % (mode,))
     rng = np.random.default_rng(seed)
     for _ in range(8):
-        A = rng.standard_normal((m, d))
         if mode == "orthonormal":
-            Q, _ = np.linalg.qr(A.T)
-            return np.ascontiguousarray(Q[:, :m].T), 1.0
+            # the row-major draw is what QR of its transpose reads fastest,
+            # and Q^T comes out column-major
+            Q, _ = np.linalg.qr(rng.standard_normal((m, d)).T)
+            return np.asfortranarray(Q.T), 1.0
+        A = _standard_normal_column_major(rng, m, d)
         if mode == "scaled":
             A /= np.sqrt(m)
         lam, norm_A = gram_spectrum(A)

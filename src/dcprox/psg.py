@@ -47,15 +47,34 @@ def lyapunov_c(spec, params):
     )
 
 
-def iterate(spec, x0, params, schedule, c=0.0, delta=0.0, wrap_errors=False):
+def momentum_table(lambda_bar, mu_bar, tau, restart_period, max_iter):
+    """(lambdas, mus) of extrapolation_coeffs for iterations 0, 1, ...
+
+    The schedule restarts every restart_period iterations, so one period
+    (or max_iter steps when restart_period is None) holds every value;
+    iteration n uses entry n % len(lambdas).
+    """
+    state = ExtrapolationState()
+    lams, mus = [], []
+    for _ in range(min(restart_period or max_iter, max_iter)):
+        lam, mu, state = extrapolation_coeffs(
+            state, lambda_bar, mu_bar, tau, restart_period)
+        lams.append(float(lam))
+        mus.append(float(mu))
+    return lams, mus
+
+
+def iterate(spec, x0, params, tau, lams, mus=None, c=0.0, delta=0.0,
+            wrap_errors=False):
     """The iteration loop of the proposed solver, GPPA and pDCAe.
 
-    schedule(n, state) -> (tau, lam, mu, state) is the momentum policy; state
-    starts at ExtrapolationState().  The gradient of h o A is taken at
+    Iteration n steps with tau and the momentum lam = lams[n % len(lams)]
+    (a momentum_table period).  The gradient of h o A is taken at
     u_n = x_n + lam (x_n - x_{n-1}) and the prox at v_n = x_n + mu (x_n -
-    x_{n-1}), or at u_n when mu is None (recorded as mu = 0).  A u_n comes
-    from the cached A x_n and A x_{n-1}, and F(x_{n+1}) from the one fresh
-    product A x_{n+1}.  c and delta set the monitored Lyapunov decrease;
+    x_{n-1}), mu from the mus table alike, or at u_n when mus is None
+    (recorded as mu = 0).  A u_n comes from the cached A x_n and A x_{n-1},
+    and F(x_{n+1}) from the one fresh product A x_{n+1}.  c and delta set
+    the monitored Lyapunov decrease; a NaN violation is reported as NaN.
     wrap_errors re-raises failures of the step as RuntimeError.
     """
     x = np.array(x0, dtype=float)
@@ -70,20 +89,21 @@ def iterate(spec, x0, params, schedule, c=0.0, delta=0.0, wrap_errors=False):
     trace = IterateTrace(iterates=[] if params.keep_iterates else None)
     trace.record(f0, 0.0, f0, 0.0, 0.0, 0.0, x)
 
-    state = ExtrapolationState()
+    period = len(lams)
+    prox_mus = lams if mus is None else mus
     x_prev, Ax_prev = x, Ax
     status = "max-iter"
     iterations = 0
     max_violation = 0.0
     t0 = time.perf_counter()
     for n in range(params.max_iter):
-        tau, lam, mu, state = schedule(n, state)
+        k = n % period
+        lam, mu = lams[k], prox_mus[k]
         g_n = spec.subgrad_g(x)
         try:
             Au = Ax if lam == 0.0 else Ax + lam * (Ax - Ax_prev)
             grad = spec.map_A.adjoint(spec.grad_h(Au))
-            mu_v = lam if mu is None else mu
-            v = x if mu_v == 0.0 else x + mu_v * (x - x_prev)
+            v = x if mu == 0.0 else x + mu * (x - x_prev)
             x_next = spec.prox_fC(v - tau * grad + tau * g_n, tau)
         except Exception as exc:
             if wrap_errors:
@@ -96,11 +116,16 @@ def iterate(spec, x0, params, schedule, c=0.0, delta=0.0, wrap_errors=False):
         if not math.isfinite(step) and not np.isfinite(x_next).all():
             raise FloatingPointError("non-finite iterate at iteration %d" % n)
         Ax_next = spec.map_A.apply(x_next)
-        fval = objective(x_next, Ax_next)
+        fval = float(objective(x_next, Ax_next))
         lyap = fval + c * step * step
         violation = lyap + delta * step * step - trace.lyapunov[-1]
-        max_violation = max(max_violation, violation)
-        trace.record(fval, step, lyap, lam, 0.0 if mu is None else mu, tau, x_next)
+        if violation > max_violation or math.isnan(violation):
+            max_violation = violation
+        trace.objective.append(fval)
+        trace.step_norms.append(step)
+        trace.lyapunov.append(lyap)
+        if trace.iterates is not None:
+            trace.iterates.append(x_next.copy())
 
         xn_norm = math.sqrt(x @ x)
         rel = step / xn_norm if xn_norm > 0 else step
@@ -111,6 +136,10 @@ def iterate(spec, x0, params, schedule, c=0.0, delta=0.0, wrap_errors=False):
             status = "converged"
             break
 
+    reps = iterations // period + 1
+    trace.lambdas += (lams * reps)[:iterations]
+    trace.mus += (([0.0] * period if mus is None else mus) * reps)[:iterations]
+    trace.taus += [float(tau)] * iterations
     return SolveReport(
         x=x,
         objective=trace.objective[-1],
@@ -133,17 +162,13 @@ def solve(spec, x0, params):
     one subgrad_g call; F(x0) costs one more A product.
     """
     tau_bar = tau_upper_bound(spec, params)
-
-    def schedule(n, state):
-        lam, mu, state = extrapolation_coeffs(
-            state, params.lambda_bar, params.mu_bar, tau_bar, params.restart_period
-        )
-        assert 0.0 <= lam <= params.lambda_bar
-        assert 0.0 <= mu <= params.mu_bar * tau_bar
-        return tau_bar, lam, mu, state
-
-    return iterate(spec, x0, params, schedule, c=lyapunov_c(spec, params),
-                   delta=params.delta, wrap_errors=True)
+    lams, mus = momentum_table(params.lambda_bar, params.mu_bar, tau_bar,
+                               params.restart_period, params.max_iter)
+    assert all(0.0 <= lam <= params.lambda_bar for lam in lams)
+    assert all(0.0 <= mu <= params.mu_bar * tau_bar for mu in mus)
+    return iterate(spec, x0, params, tau_bar, lams, mus,
+                   c=lyapunov_c(spec, params), delta=params.delta,
+                   wrap_errors=True)
 
 
 def check_decrease(trace, c, delta, tol=0.0):

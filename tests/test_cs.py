@@ -6,7 +6,7 @@ import pytest
 import scipy.fft
 
 from dcprox import cs
-from dcprox.linop import adjoint_mismatch
+from dcprox.linop import adjoint_mismatch, gram_spectrum
 
 
 def test_case_table_shapes():
@@ -36,6 +36,23 @@ def test_gen_gaussian_full_row_rank():
     A, _ = cs.gen_gaussian(25, 60, 7)
     s = np.linalg.svd(A, compute_uv=False)
     assert s[-1] > 1e-8
+
+
+# m is not a multiple of the 64-row draw block
+@pytest.mark.parametrize("m, d", [(130, 333), (180, 640)])
+@pytest.mark.parametrize("mode", ["raw", "scaled", "orthonormal"])
+def test_gen_gaussian_column_major_equals_row_major_draw(mode, m, d):
+    A, norm_A = cs.gen_gaussian(m, d, 11, mode=mode)
+    assert A.flags.f_contiguous
+    R = np.random.default_rng(11).standard_normal((m, d))
+    if mode == "orthonormal":
+        Q, _ = np.linalg.qr(R.T)
+        assert np.array_equal(A, Q.T) and norm_A == 1.0
+        return
+    if mode == "scaled":
+        R /= np.sqrt(m)
+    assert np.array_equal(A, R)
+    assert norm_A == gram_spectrum(R)[1]
 
 
 def test_gen_gaussian_errors():

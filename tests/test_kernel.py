@@ -67,6 +67,22 @@ def test_kernel_matches_legacy_loops(case, loss, seed):
             assert new.max_lyapunov_violation == violation
 
 
+@pytest.mark.parametrize("restart_period", [None, 7, 60])
+@pytest.mark.parametrize("solver", ["proposed", "pdcae"])
+def test_momentum_table_matches_per_iteration_schedule(solver, restart_period):
+    # the table covers one restart period (7 wraps, 60 outlasts the run) or,
+    # with no restart, every iteration
+    inst = cs.make_instance(("gaussian", 40, 120, 6), 3, 0.1, "least-squares")
+    spec = cs.build_cs_problem(inst)
+    params = dataclasses.replace(sweep_params(spec, solver, 40, stop_rel_tol=0.0),
+                                 restart_period=restart_period)
+    new = run_new(spec, solver, params)
+    _, iterations, trace, _, _ = run_legacy(spec, solver, params)
+    assert new.iterations == iterations == 40
+    assert (new.trace.lambdas, new.trace.mus, new.trace.taus) == (
+        trace.lambdas, trace.mus, trace.taus)
+
+
 class CountingMap(LinearMap):
     """A LinearMap that counts its apply and adjoint calls."""
 
@@ -123,6 +139,21 @@ def test_dct_map_solves_like_its_matrix(case, loss, seed):
         assert abs(fft.objective - mat.objective) <= 1e-12 * abs(mat.objective)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("case", [1, 2])
+def test_support_products_solve_like_full_products(case, seed):
+    gamma, max_iter = LOSS_DEFAULTS["least-squares"]
+    spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, "least-squares"))
+    A = spec.map_A.dense()
+    full = dataclasses.replace(spec, map_A=LinearMap(
+        lambda x: A @ x, lambda y: A.T @ y, A.shape[1], A.shape[0]))
+    for solver in ("proposed", "gppa", "pdcae"):
+        params = sweep_params(spec, solver, max_iter, keep_iterates=False)
+        sup, mat = run_new(spec, solver, params), run_new(full, solver, params)
+        assert (sup.status, sup.iterations) == (mat.status, mat.iterations)
+        assert abs(sup.objective - mat.objective) <= 1e-12 * abs(mat.objective)
+
+
 def prox_failing_at(spec, k, bad):
     """spec whose prox_fC returns a finite point except at call k (0-based),
     where entry 0 of its output is replaced by bad."""
@@ -157,3 +188,14 @@ def test_finite_iterate_whose_step_overflows_does_not_raise(solver):
     assert rep.iterations == 8
     assert rep.trace.step_norms[-1] == np.inf
     assert np.isfinite(rep.x).all()
+
+
+@pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
+def test_nan_objective_is_reported_as_nan_violation(solver):
+    # x_8 has the finite entry 1e200: F(x_8) = finite + inf - inf = nan
+    inst = cs.make_instance(("gaussian", 40, 120, 6), 3, 0.1, "least-squares")
+    spec = prox_failing_at(cs.build_cs_problem(inst), 7, 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = run_new(spec, solver, sweep_params(spec, solver, 8, stop_rel_tol=0.0))
+    assert np.isnan(rep.objective)
+    assert np.isnan(rep.max_lyapunov_violation)

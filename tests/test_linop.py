@@ -26,10 +26,50 @@ def test_from_matrix_rejects_non_2d():
 
 
 def test_dense_returns_the_matrix():
+    F = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    assert LinearMap.from_matrix(F).dense() is F
     A = np.arange(6.0).reshape(2, 3)
-    assert LinearMap.from_matrix(A).dense() is A
+    stored = LinearMap.from_matrix(A).dense()
+    assert stored.flags.f_contiguous and np.array_equal(stored, A)
     free = LinearMap(lambda x: A @ x, lambda y: A.T @ y, 3, 2)
     assert np.array_equal(free.dense(), A)
+
+
+def support_cases(d, rng):
+    """Vectors for the support-column path of apply: around the d/8 cut,
+    zero, one nonzero, dense, and -0.0 zeros."""
+    out = {"zero": np.zeros(d), "dense": rng.standard_normal(d)}
+    for k in (1, d // 8 - 1, d // 8, d // 8 + 1):
+        x = np.zeros(d)
+        x[rng.choice(d, size=k, replace=False)] = rng.standard_normal(k)
+        out["nnz=%d" % k] = x
+    x = -np.zeros(d)
+    x[rng.choice(d, size=5, replace=False)] = rng.standard_normal(5)
+    out["negative zeros"] = x
+    return out
+
+
+@pytest.mark.parametrize("shape", [(30, 80), (45, 64), (180, 640)])
+def test_apply_on_support_matches_full_product(shape):
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal(shape)
+    map_ = LinearMap.from_matrix(A)
+    assert map_.dense().flags.f_contiguous
+    for name, x in support_cases(shape[1], rng).items():
+        got = map_.apply(x)
+        assert got.shape == (shape[0],) and got.dtype == float, name
+        want = A @ x
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.abs(want).max()), name
+    assert np.array_equal(map_.apply(np.zeros(shape[1])), np.zeros(shape[0]))
+
+
+def test_apply_propagates_nan():
+    A = np.random.default_rng(7).standard_normal((20, 64))
+    x = np.zeros(64)
+    x[3] = np.nan
+    assert np.isnan(LinearMap.from_matrix(A).apply(x)).all()
+    x[10:50] = 1.0  # dense: the full product
+    assert np.isnan(LinearMap.from_matrix(A).apply(x)).all()
 
 
 def test_identity_map():
