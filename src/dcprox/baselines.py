@@ -1,5 +1,6 @@
 """Baseline algorithms sharing the oracles of the extrapolated solver."""
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,6 +19,8 @@ class BaselineParams:
     keep_iterates: bool = False
 
     def __post_init__(self):
+        if not (math.isfinite(self.step_tau) and math.isfinite(self.stop_rel_tol)):
+            raise ValueError("step_tau and stop_rel_tol must be finite")
         if self.step_tau <= 0:
             raise ValueError("step_tau must be positive")
         if self.max_iter <= 0:

@@ -12,7 +12,7 @@ from .linop import LinearMap, gram_spectrum
 # unused here: kept only because perfbench's tracer patches cs.spectral_norm
 from .linop import spectral_norm  # noqa: F401
 from .oracles import Loss, norm_subgradient, soft_threshold
-from .problem import ProblemSpec
+from .problem import L1Screen, ProblemSpec
 
 #: case id -> (matrix kind, m, d, s)
 CASES = {
@@ -25,6 +25,11 @@ CASES = {
     7: ("dct", 720, 2560, 80),
     8: ("dct", 2880, 10240, 320),
 }
+
+#: m * d from which build_cs_problem lets the kernel screen the A* product of
+#: a matrix-backed map: between case 1 (115,200), where screening cost 9%,
+#: and case 2 (460,800), where it saved 15%
+SCREEN_MIN_ENTRIES = 250_000
 
 
 def _standard_normal_column_major(rng, m, d):
@@ -199,12 +204,18 @@ def make_instance(case, seed, gamma, loss_kind):
 def build_cs_problem(inst):
     """ProblemSpec with f = gamma ||.||_1, h = loss, g = gamma ||.||.
 
-    norm_A is the instance's bound; no norm is estimated here.
+    norm_A is the instance's bound; no norm is estimated here.  Matrix-backed
+    maps of at least SCREEN_MIN_ENTRIES entries carry an L1Screen, so the
+    kernel computes only the A* entries the prox does not provably zero.
     """
     gamma = inst.gamma
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     loss = Loss(inst.loss_kind, inst.b)
+    matrix = inst.A.matrix
+    screen = None
+    if matrix is not None and matrix.size >= SCREEN_MIN_ENTRIES:
+        screen = L1Screen(gamma, matrix)
     return ProblemSpec(
         prox_fC=lambda w, tau: soft_threshold(w, gamma * tau),
         grad_h=loss.grad,
@@ -215,6 +226,7 @@ def build_cs_problem(inst):
         map_A=inst.A,
         lipschitz_ell=loss.lipschitz,
         norm_A=inst.norm_A,
+        screen=screen,
     )
 
 

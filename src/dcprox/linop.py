@@ -8,10 +8,11 @@ class LinearMap:
 
     `apply` maps input vectors of length `dim_in` to output vectors of
     length `dim_out`; `adjoint` is the transpose map.  Instances are
-    immutable and safe to share across solver runs.
+    immutable and safe to share across solver runs.  `matrix` is the
+    stored column-major array of a map made by from_matrix, None otherwise.
     """
 
-    _matrix = None
+    matrix = None
 
     def __init__(self, apply, adjoint, dim_in, dim_out):
         self._apply = apply
@@ -33,8 +34,8 @@ class LinearMap:
         The stored array for a map made by from_matrix; otherwise the rows
         adjoint(e_i), one adjoint product per row.
         """
-        if self._matrix is not None:
-            return self._matrix
+        if self.matrix is not None:
+            return self.matrix
         return np.array([self.adjoint(e) for e in np.eye(self.dim_out)])
 
     @classmethod
@@ -60,7 +61,7 @@ class LinearMap:
             return A @ x
 
         out = cls(apply, lambda y: A.T @ y, d, A.shape[0])
-        out._matrix = A
+        out.matrix = A
         return out
 
     @classmethod

@@ -1,11 +1,30 @@
 """Problem and parameter data model shared by all solvers."""
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .linop import LinearMap
+
+
+@dataclass(frozen=True)
+class L1Screen:
+    """What the kernel needs to screen the A* product of an l1 problem.
+
+    gamma is the weight of f = gamma ||.||_1, whose prox_fC(w, tau) zeroes
+    every coordinate with |w_i| <= gamma * tau (that product as rounded),
+    and matrix the column-major array of map_A, whose columns psg.iterate
+    multiplies on their own.
+    """
+
+    gamma: float
+    matrix: np.ndarray
+
+    def adjoint_columns(self, y, cols):
+        """(A^T y)[cols], reading only those columns of the matrix."""
+        return self.matrix[:, cols].T @ y
 
 
 @dataclass(frozen=True)
@@ -21,7 +40,8 @@ class ProblemSpec:
     orthonormal rows (sampled DCT, row-orthonormal Gaussian), and for other
     matrices sqrt(lambda_max + margin) from one eigendecomposition of
     A A^T (linop.gram_spectrum), a certified bound about 1e-10 relative
-    above ||A|| on case 3.
+    above ||A|| on case 3.  screen, when set, lets the kernel compute only
+    the entries of A* grad_h that the prox does not provably zero.
     """
 
     prox_fC: Callable[[np.ndarray, float], np.ndarray]
@@ -35,10 +55,15 @@ class ProblemSpec:
     norm_A: float
     weak_convexity_beta: float = 0.0
     is_feasible: Optional[Callable[[np.ndarray], bool]] = None
+    screen: Optional[L1Screen] = None
 
     def __post_init__(self):
         if self.lipschitz_ell < 0 or self.weak_convexity_beta < 0 or self.norm_A < 0:
             raise ValueError("lipschitz_ell, weak_convexity_beta, norm_A must be >= 0")
+        shape = (self.map_A.dim_out, self.map_A.dim_in)
+        if self.screen is not None and self.screen.matrix.shape != shape:
+            raise ValueError("screen matrix shape %s does not match map_A %s"
+                             % (self.screen.matrix.shape, shape))
 
     def objective(self, x):
         return (
@@ -61,6 +86,9 @@ class SolverParams:
     keep_iterates: bool = False
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lambda_bar, self.mu_bar, self.delta,
+                                       self.stop_rel_tol))):
+            raise ValueError("lambda_bar, mu_bar, delta and stop_rel_tol must be finite")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.lambda_bar < 0 or self.mu_bar < 0:

@@ -19,6 +19,11 @@ def test_params_validation():
         BaselineParams(step_tau=0.1, max_iter=0)
     with pytest.raises(ValueError):
         BaselineParams(step_tau=0.1, stop_rel_tol=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            BaselineParams(step_tau=bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            BaselineParams(step_tau=0.1, stop_rel_tol=bad)
 
 
 def test_gppa_single_step_formula():

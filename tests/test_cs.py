@@ -171,9 +171,23 @@ def test_build_cs_problem_regularizer_value_and_gamma():
     x = np.zeros(inst.d)
     x[:2] = [3.0, -4.0]
     assert abs(spec.value_f(x) - spec.value_g(x) - 0.1 * (7.0 - 5.0)) < 1e-15
-    for gamma in (0.0, -0.1):
+    for gamma in (0.0, -0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="gamma must be positive"):
             cs.build_cs_problem(dataclasses.replace(inst, gamma=gamma))
+
+
+@pytest.mark.parametrize("case, screened", [
+    (1, False), (2, True), (5, False), (6, False),
+    (("gaussian", 270, 960, 30), True), (("gaussian", 220, 782, 24), False),
+])
+def test_build_cs_problem_screens_large_matrix_maps_only(case, screened):
+    inst = cs.make_instance(case, 0, 0.1, "least-squares")
+    spec = cs.build_cs_problem(inst)
+    assert (spec.screen is not None) == screened
+    if screened:
+        assert spec.screen.gamma == inst.gamma
+        assert spec.screen.matrix is inst.A.matrix
+        assert spec.screen.matrix.flags.f_contiguous
 
 
 def test_case2_seed419_builds_with_certified_norm():

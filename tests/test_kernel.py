@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import legacy_solvers
-from dcprox import cs
+from dcprox import cs, psg
 from dcprox.baselines import BaselineParams, gppa_solve, pdcae_solve
-from dcprox.linop import LinearMap
-from dcprox.problem import SolverParams
+from dcprox.linop import LinearMap, gram_spectrum
+from dcprox.problem import L1Screen, SolverParams
 from dcprox.psg import solve
 
 #: per-loss (gamma, max_iter) of the sweeps
@@ -169,10 +169,18 @@ def prox_failing_at(spec, k, bad):
     return dataclasses.replace(spec, prox_fC=prox_fC)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+#: (bad value, instance) inputs; case 2 is above cs.SCREEN_MIN_ENTRIES
+NON_FINITE_INPUTS = [
+    pytest.param(bad, case, id=str(bad) + suffix)
+    for case, suffix in ((("gaussian", 40, 120, 6), ""), (2, "-screened"))
+    for bad in (np.nan, np.inf, -np.inf)
+]
+
+
+@pytest.mark.parametrize("bad, case", NON_FINITE_INPUTS)
 @pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
-def test_non_finite_iterate_raises_at_its_iteration(solver, bad):
-    inst = cs.make_instance(("gaussian", 40, 120, 6), 3, 0.1, "least-squares")
+def test_non_finite_iterate_raises_at_its_iteration(solver, bad, case):
+    inst = cs.make_instance(case, 3, 0.1, "least-squares")
     spec = prox_failing_at(cs.build_cs_problem(inst), 7, bad)
     params = sweep_params(spec, solver, 50, stop_rel_tol=0.0)
     with pytest.raises(FloatingPointError, match="non-finite iterate at iteration 7$"):
@@ -199,3 +207,211 @@ def test_nan_objective_is_reported_as_nan_violation(solver):
         rep = run_new(spec, solver, sweep_params(spec, solver, 8, stop_rel_tol=0.0))
     assert np.isnan(rep.objective)
     assert np.isnan(rep.max_lyapunov_violation)
+
+
+class RecordingScreen(L1Screen):
+    """An L1Screen that records each column product as (iteration, psi, cols).
+
+    The iteration is the number of subgrad_g calls so far minus one: every
+    solver calls subgrad_g once at the top of each iteration.
+    """
+
+    def __init__(self, screen, subgrads):
+        super().__init__(screen.gamma, screen.matrix)
+        object.__setattr__(self, "subgrads", subgrads)
+        object.__setattr__(self, "calls", [])
+
+    def adjoint_columns(self, y, cols):
+        self.calls.append((len(self.subgrads) - 1, y.copy(), cols.copy()))
+        return super().adjoint_columns(y, cols)
+
+
+def recording(spec):
+    """spec whose screen records its column products and whose subgrad_g
+    keeps every subgradient it returns."""
+    subgrads = []
+
+    def subgrad_g(x):
+        subgrads.append(spec.subgrad_g(x))
+        return subgrads[-1]
+
+    return dataclasses.replace(spec, subgrad_g=subgrad_g,
+                               screen=RecordingScreen(spec.screen, subgrads))
+
+
+def skipped_margins(spec, solver, max_iter=3000):
+    """Solve with spec's screen recording; at every column-path iteration,
+    recompute w with the full product A^T psi and check each skipped
+    coordinate against the threshold t = gamma tau.
+
+    Returns the report, the column-path iteration count and the relative
+    margins (t - |w_i|) / t of all skipped coordinates.
+    """
+    rec = recording(spec)
+    rep = run_new(rec, solver, sweep_params(spec, solver, max_iter))
+    A, tr = spec.screen.matrix, rep.trace
+    margins = []
+    for n, psi, cols in rec.screen.calls:
+        x, x_prev = tr.iterates[n], tr.iterates[max(n - 1, 0)]
+        # the prox point: v_n for the proposed solver, u_n for pDCAe and GPPA
+        mu = tr.mus[n + 1] if solver == "proposed" else tr.lambdas[n + 1]
+        v = x if mu == 0.0 else x + mu * (x - x_prev)
+        tau = tr.taus[n + 1]
+        t = spec.screen.gamma * tau
+        w = v - tau * (A.T @ psi) + tau * rec.screen.subgrads[n]
+        skipped = np.ones(len(w), dtype=bool)
+        skipped[cols] = False
+        assert np.all(np.abs(w[skipped]) <= t), (solver, n)
+        margins.append((t - np.abs(w[skipped])) / t)
+    return rep, len(rec.screen.calls), np.concatenate(margins or [[]])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("case", [2, 3])
+def test_skipped_coordinates_are_zeroed_by_the_full_product(case, seed):
+    gamma, _ = LOSS_DEFAULTS["least-squares"]
+    spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, "least-squares"))
+    assert spec.screen is not None
+    for solver in ("proposed", "gppa", "pdcae"):
+        rep, column_iters, _ = skipped_margins(spec, solver)
+        assert rep.status == "converged"
+        assert column_iters >= rep.iterations // 2, solver
+
+
+def near_threshold_instance(gamma=0.1, n_active=3, n_near=200):
+    """A 360 x 1280 instance on which 200 coordinates sit just under the
+    threshold at every iteration while the iterate moves.
+
+    The case-2 matrix is changed so that 3 active columns K, whose
+    correlations with b are 2 gamma, are orthogonal to 200 columns J, whose
+    correlations are gamma (1 - delta_j) with delta_j from 1e-15 to 1e-2,
+    and all other columns are orthogonal to b.  While the support stays in
+    K, A^T psi on J keeps its value at x = 0, so |w_j| stays just under
+    gamma tau.  200 > d/8 columns kept force full products until the bound
+    has shrunk below delta_j gamma tau for enough of J; from then on the
+    column path skips coordinates of J with margins down to ~1e-6.
+    """
+    inst = cs.make_instance(2, 0, gamma, "least-squares")
+    A = inst.A.matrix.copy(order="F")
+    rng = np.random.default_rng(0)
+    idx = rng.permutation(A.shape[1])
+    K, J, rest = idx[:n_active], idx[n_active:n_active + n_near], idx[n_active + n_near:]
+    Q, _ = np.linalg.qr(A[:, K])
+    A[:, J] -= Q @ (Q.T @ A[:, J])
+    target = np.concatenate([
+        2.0 * gamma * rng.choice([-1.0, 1.0], n_active),
+        gamma * (1.0 - np.logspace(-15, -2, n_near)) * rng.choice([-1.0, 1.0], n_near),
+    ])
+    AKJ = A[:, np.concatenate([K, J])]
+    b = AKJ @ np.linalg.solve(AKJ.T @ AKJ, target)
+    unit_b = b / np.linalg.norm(b)
+    A[:, rest] -= np.outer(unit_b, unit_b @ A[:, rest])
+    return dataclasses.replace(inst, A=LinearMap.from_matrix(A),
+                               norm_A=gram_spectrum(A)[1], b=b)
+
+
+def test_skipped_coordinates_just_under_the_threshold():
+    spec = cs.build_cs_problem(near_threshold_instance())
+    assert spec.screen is not None
+    for solver in ("proposed", "gppa", "pdcae"):
+        rep, column_iters, margins = skipped_margins(spec, solver)
+        assert rep.status == "converged"
+        assert column_iters > 0
+        assert np.count_nonzero(margins < 1e-4) >= 100, solver
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", [2, 3])
+def test_screened_solves_match_unscreened(case, seed):
+    gamma, max_iter = LOSS_DEFAULTS["least-squares"]
+    spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, "least-squares"))
+    assert spec.screen is not None
+    full = dataclasses.replace(spec, screen=None)
+    for solver in ("proposed", "gppa", "pdcae"):
+        params = sweep_params(spec, solver, max_iter, keep_iterates=False)
+        scr, ref = run_new(spec, solver, params), run_new(full, solver, params)
+        assert (scr.status, scr.iterations) == (ref.status, ref.iterations), solver
+        assert abs(scr.objective - ref.objective) <= 1e-12 * abs(ref.objective)
+        assert np.array_equal(scr.x != 0, ref.x != 0), solver
+
+
+@pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
+def test_screened_iteration_makes_one_apply_and_one_adjoint_product(solver):
+    spec = recording(cs.build_cs_problem(cs.make_instance(2, 3, 0.1, "least-squares")))
+    spec = dataclasses.replace(spec, map_A=CountingMap(spec.map_A))
+    # the column path starts after 39-81 iterations on this instance
+    rep = run_new(spec, solver, sweep_params(spec, solver, 120, stop_rel_tol=0.0))
+    assert rep.iterations == 120
+    columns = len(spec.screen.calls)
+    assert columns > 0
+    assert spec.map_A.counts == {"apply": 1 + 120, "adjoint": 120 - columns}
+    # at most one column product per iteration
+    assert len({n for n, _, _ in spec.screen.calls}) == columns
+
+
+def oracle_failing_at(spec, name, k, bad):
+    """spec whose oracle name returns bad in entry 0 of its output at call k."""
+    calls = [0]
+    fn = getattr(spec, name)
+
+    def oracle(*args):
+        out = np.array(fn(*args))
+        if calls[0] == k:
+            out[0] = bad
+        calls[0] += 1
+        return out
+
+    return dataclasses.replace(spec, **{name: oracle})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("oracle", ["grad_h", "subgrad_g"])
+@pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
+def test_non_finite_psi_or_bound_takes_the_full_product(solver, oracle, bad):
+    # a non-finite psi or subgradient at the first iteration that takes the
+    # column path makes the bound non-finite: that iteration takes the full
+    # product instead, and its non-finite iterate raises there
+    spec = cs.build_cs_problem(cs.make_instance(2, 3, 0.1, "least-squares"))
+    params = sweep_params(spec, solver, 120, stop_rel_tol=0.0, keep_iterates=False)
+    clean = recording(spec)
+    run_new(clean, solver, params)
+    k = clean.screen.calls[0][0]
+    failing = oracle_failing_at(recording(spec), oracle, k, bad)
+    with pytest.raises(FloatingPointError,
+                       match="non-finite iterate at iteration %d$" % k):
+        run_new(failing, solver, params)
+    assert failing.screen.calls == []
+
+
+def test_screen_columns_keeps_nan_coordinates():
+    # a NaN in the reference product fails the skip test (a NaN compared
+    # with >= would have skipped it); every other coordinate is far below
+    rng = np.random.default_rng(0)
+    A = np.asfortranarray(rng.standard_normal((20, 64)))
+    screen = L1Screen(1.0, A)
+    psi = rng.standard_normal(20)
+    G = 1e-3 * rng.standard_normal(64)
+    G[5] = np.nan
+    x = np.zeros(64)
+    w, cols = psg.screen_columns((psi, G, np.linalg.norm(psi)), screen,
+                                 gram_spectrum(A)[1], 0.5, psi, x, x)
+    assert cols.tolist() == [5]
+    assert np.isnan(w[5])
+
+
+@pytest.mark.parametrize("gamma, kept", [(0.2 * (1 - 1e-9), [0]), (0.2 * (1 + 1e-9), [])])
+def test_screen_columns_bound_is_tight_on_an_aligned_column(gamma, kept):
+    # psi - psi_r = -0.05 e_0 lies along column 0, whose norm is ||A|| = 2:
+    # the full product moves w_0 from w~_0 = 0.05 to 0.1 = w~_0 + tau ||A||
+    # ||psi - psi_r||, the worst case of the bound, so coordinate 0 is kept
+    # exactly when 0.1 > gamma tau, up to the rounding slack; the other
+    # coordinates stay at w = 0, 0.05 below the bound
+    A = np.asfortranarray(np.hstack([2.0 * np.eye(4), np.zeros((4, 4))]))
+    psi_r = np.array([-0.05, 0.0, 0.0, 0.0])
+    psi = np.array([-0.1, 0.0, 0.0, 0.0])
+    x = np.zeros(8)
+    tau = 0.5
+    ref = (psi_r, A.T @ psi_r, np.linalg.norm(psi_r))
+    w, cols = psg.screen_columns(ref, L1Screen(gamma, A), 2.0, tau, psi, x, x)
+    assert cols.tolist() == kept
+    assert w[0] == 0.05 and abs(-tau * (A.T @ psi))[0] == 0.1

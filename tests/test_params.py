@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dcprox.baselines import BaselineParams
 from dcprox.linop import LinearMap
-from dcprox.problem import IterateTrace, ProblemSpec, SolverParams, tau_upper_bound
+from dcprox.problem import (IterateTrace, L1Screen, ProblemSpec, SolverParams,
+                            tau_upper_bound)
 
 
 def make_spec(ell=1.0, norm_a=1.0, beta=0.0):
@@ -58,6 +61,11 @@ def test_solver_params_validation():
     with pytest.raises(ValueError):
         SolverParams(restart_period=0)
     SolverParams(restart_period=None)  # no restart is allowed
+    # a NaN stop_rel_tol passed every check and ran the solve to max_iter
+    for name in ("lambda_bar", "mu_bar", "delta", "stop_rel_tol"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                SolverParams(**{name: bad})
 
 
 def test_baseline_params_reject_nonpositive_restart_period():
@@ -72,6 +80,10 @@ def test_baseline_params_reject_nonpositive_restart_period():
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         make_spec(ell=-1.0)
+    spec = make_spec()
+    with pytest.raises(ValueError, match="does not match map_A"):
+        dataclasses.replace(spec, screen=L1Screen(0.1, np.eye(3, 4, order="F")))
+    dataclasses.replace(spec, screen=L1Screen(0.1, np.eye(3, order="F")))
 
 
 def test_objective_composition():

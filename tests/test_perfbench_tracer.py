@@ -30,10 +30,15 @@ def build_and_solve(case):
     return spec.norm_A, inst.b, rep
 
 
-@pytest.mark.parametrize("case, span", [
+#: case 2 is above cs.SCREEN_MIN_ENTRIES: its solves take the column path
+CASES = [
     (("gaussian", 30, 80, 4), "cs.gen_gaussian"),
     (("dct", 30, 80, 4), "cs.gen_dct"),
-])
+    (2, "cs.gen_gaussian"),
+]
+
+
+@pytest.mark.parametrize("case, span", CASES)
 def test_patched_build_is_bit_identical(layers, case, span):
     norm_A, b, rep = build_and_solve(case)
     tracer = layers.Tracer()
@@ -46,3 +51,23 @@ def test_patched_build_is_bit_identical(layers, case, span):
     assert (t_rep.iterations, t_rep.status, t_rep.objective) == (
         rep.iterations, rep.status, rep.objective)
     assert t_rep.trace.objective == rep.trace.objective
+
+
+@pytest.mark.parametrize("case", [case for case, _ in CASES])
+def test_instrumented_solve_is_bit_identical(layers, case):
+    # 150 iterations: case 2 takes its first column path at iteration 78
+    inst = cs.make_instance(case, 3, 0.1, "least-squares")
+    spec = cs.build_cs_problem(inst)
+    params = SolverParams(max_iter=150)
+    rep = psg.solve(spec, np.zeros(inst.d), params)
+    span = {}
+    t_rep = psg.solve(layers.Tracer().instrument(spec, span), np.zeros(inst.d), params)
+    assert np.array_equal(t_rep.x, rep.x)
+    assert (t_rep.iterations, t_rep.status, t_rep.objective) == (
+        rep.iterations, rep.status, rep.objective)
+    assert t_rep.trace.objective == rep.trace.objective
+    # column products bypass map_A, so the traced A* misses those iterations
+    calls = span["calls"]
+    assert calls["linop.apply"][0] == 1 + t_rep.iterations
+    screened = spec.screen is not None
+    assert (calls["linop.adjoint"][0] < t_rep.iterations) == screened
