@@ -2,7 +2,7 @@
 composite problems, with sparse-recovery and power-flow case studies."""
 
 from .baselines import BaselineParams, gppa_solve, pdcae_solve
-from .linop import LinearMap, adjoint_mismatch, spectral_norm
+from .linop import LinearMap, spectral_norm
 from .oracles import Loss, norm_subgradient, soft_threshold
 from .polyhedron import (
     InfeasiblePolyhedronError,
@@ -18,24 +18,16 @@ from .problem import (
     SolverParams,
     tau_upper_bound,
 )
-from .psg import (
-    ExtrapolationState,
-    check_decrease,
-    extrapolation_coeffs,
-    lyapunov_c,
-    solve,
-    tail_linear_fit,
-)
+from .psg import lyapunov_c, solve, tail_linear_fit
 
 __all__ = [
     "BaselineParams", "gppa_solve", "pdcae_solve",
-    "LinearMap", "adjoint_mismatch", "spectral_norm",
+    "LinearMap", "spectral_norm",
     "Loss", "norm_subgradient", "soft_threshold",
     "InfeasiblePolyhedronError", "PolyhedralSet", "PolyhedronProjector",
     "ProjectionError", "project",
     "IterateTrace", "ProblemSpec", "SolveReport", "SolverParams",
     "tau_upper_bound",
-    "ExtrapolationState", "check_decrease", "extrapolation_coeffs",
     "lyapunov_c", "solve", "tail_linear_fit",
 ]
 

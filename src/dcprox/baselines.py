@@ -36,7 +36,7 @@ def gppa_solve(spec, x0, params):
 
     x_{n+1} = prox_{tau (f + i_C)}(x_n - tau grad(h o A)(x_n) + tau g_n).
     """
-    return iterate(spec, x0, params, params.step_tau, [0.0])
+    return iterate(spec, x0, params, params.step_tau, [0.0], [0.0])
 
 
 def pdcae_solve(spec, x0, params):
@@ -53,4 +53,4 @@ def pdcae_solve(spec, x0, params):
         return gppa_solve(spec, x0, params)
     thetas, _ = momentum_table(1.0, 0.0, params.step_tau,
                                params.restart_period, params.max_iter)
-    return iterate(spec, x0, params, params.step_tau, thetas)
+    return iterate(spec, x0, params, params.step_tau, thetas, thetas)

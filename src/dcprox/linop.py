@@ -69,20 +69,6 @@ class LinearMap:
         return cls(lambda x: x, lambda y: y, dim, dim)
 
 
-def adjoint_mismatch(map_, rng=None, trials=5):
-    """Max relative defect of <Ax, y> = <x, A*y> over random probes."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(map_.dim_in)
-        y = rng.standard_normal(map_.dim_out)
-        lhs = float(np.dot(map_.apply(x), y))
-        rhs = float(np.dot(x, map_.adjoint(y)))
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
-
-
 def gram_spectrum(A):
     """Eigenvalues of the smaller Gram matrix of A and a certified bound on ||A||.
 

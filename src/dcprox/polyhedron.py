@@ -72,15 +72,14 @@ class PolyhedronProjector:
     """Reusable projector onto one PolyhedralSet.
 
     Stateless after construction, so instances are safe to share across
-    solver runs.  max_iter caps the active-set steps of one projection;
-    the default is ten times the number of reduced rows plus the reduced
-    dimension.
+    solver runs.  The active-set steps of one projection are capped at ten
+    times the number of reduced rows plus the reduced dimension, or at the
+    max_iter given to project.
     """
 
-    def __init__(self, set_, tol=1e-8, max_iter=None):
+    def __init__(self, set_, tol=1e-8):
         self.set = set_
         self.tol = float(tol)
-        self.max_iter = max_iter
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         self._reduce()
@@ -146,7 +145,7 @@ class PolyhedronProjector:
         admit no common point.
         """
         w = np.asarray(w, dtype=float)
-        maxit = max_iter or self.max_iter or 10 * sum(self._R.shape)
+        maxit = max_iter or 10 * sum(self._R.shape)
         y, status = self._active_set(self._Z.T @ (w - self._x_p), maxit)
         x = self._x_p + self._Z @ y
         res = self.set.residual(x)
@@ -258,6 +257,6 @@ class PolyhedronProjector:
                 Bk -= np.outer(b_l, (b_l @ Bk) / (b_l @ b_l))
 
 
-def project(set_, w, tol=1e-8, max_iter=None):
+def project(set_, w, tol=1e-8):
     """One-shot projection of w onto a PolyhedralSet."""
-    return PolyhedronProjector(set_, tol=tol, max_iter=max_iter).project(w)
+    return PolyhedronProjector(set_, tol=tol).project(w)

@@ -1,7 +1,7 @@
 """Problem and parameter data model shared by all solvers."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -123,26 +123,14 @@ class IterateTrace:
 
     objective[n] holds F(x_n), step_norms[n] holds ||x_n - x_{n-1}||
     (zero for n = 0 since x_{-1} = x_0), lyapunov[n] the value
-    F(x_n) + c ||x_n - x_{n-1}||^2 for the c of the run.
+    F(x_n) + c ||x_n - x_{n-1}||^2 for the c of the run, and iterates[n]
+    a copy of x_n when the run keeps its iterates (None otherwise).
     """
 
-    objective: list = field(default_factory=list)
-    step_norms: list = field(default_factory=list)
-    lyapunov: list = field(default_factory=list)
-    lambdas: list = field(default_factory=list)
-    mus: list = field(default_factory=list)
-    taus: list = field(default_factory=list)
+    objective: list
+    step_norms: list
+    lyapunov: list
     iterates: Optional[list] = None
-
-    def record(self, obj, step, lyap, lam, mu, tau, x=None):
-        self.objective.append(float(obj))
-        self.step_norms.append(float(step))
-        self.lyapunov.append(float(lyap))
-        self.lambdas.append(float(lam))
-        self.mus.append(float(mu))
-        self.taus.append(float(tau))
-        if self.iterates is not None and x is not None:
-            self.iterates.append(np.array(x, copy=True))
 
     def __len__(self):
         return len(self.objective)

@@ -2,42 +2,10 @@
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .problem import IterateTrace, SolveReport, tau_upper_bound
-
-
-@dataclass(frozen=True)
-class ExtrapolationState:
-    """Carries (kappa_{n-1}, kappa_n) of the FISTA-type schedule."""
-
-    kappa_prev: float = 1.0
-    kappa_curr: float = 1.0
-    iter_since_restart: int = 0
-
-
-def extrapolation_coeffs(state, lambda_bar, mu_bar, tau_n, restart_period=None):
-    """Momentum coefficients for the current iteration, plus the next state.
-
-    Returns lambda_n = lambda_bar (kappa_{n-1} - 1) / kappa_n and
-    mu_n = mu_bar tau_n (kappa_{n-1} - 1) / kappa_n, then advances the
-    golden-ratio-style recursion kappa_{n+1} = (1 + sqrt(1 + 4 kappa_n^2)) / 2.
-    When restart_period iterations have elapsed the kappas reset to 1.
-    """
-    if tau_n <= 0:
-        raise ValueError("tau_n must be positive")
-    ratio = (state.kappa_prev - 1.0) / state.kappa_curr
-    lam = lambda_bar * ratio
-    mu = mu_bar * tau_n * ratio
-    kappa_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.kappa_curr**2))
-    count = state.iter_since_restart + 1
-    if restart_period is not None and count >= restart_period:
-        nxt = ExtrapolationState(1.0, 1.0, 0)
-    else:
-        nxt = ExtrapolationState(state.kappa_curr, kappa_next, count)
-    return lam, mu, nxt
 
 
 def lyapunov_c(spec, params):
@@ -48,19 +16,24 @@ def lyapunov_c(spec, params):
 
 
 def momentum_table(lambda_bar, mu_bar, tau, restart_period, max_iter):
-    """(lambdas, mus) of extrapolation_coeffs for iterations 0, 1, ...
+    """(lambdas, mus) of the FISTA-type schedule for iterations 0, 1, ...
 
-    The schedule restarts every restart_period iterations, so one period
-    (or max_iter steps when restart_period is None) holds every value;
-    iteration n uses entry n % len(lambdas).
+    lambda_n = lambda_bar (kappa_{n-1} - 1) / kappa_n and
+    mu_n = mu_bar tau (kappa_{n-1} - 1) / kappa_n, with kappa_{-1} = kappa_0 = 1
+    and kappa_{n+1} = (1 + sqrt(1 + 4 kappa_n^2)) / 2.  The kappas reset to 1
+    every restart_period iterations, so one period (or max_iter steps when
+    restart_period is None) holds every value; iteration n uses entry
+    n % len(lambdas).
     """
-    state = ExtrapolationState()
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    kappa_prev = kappa = 1.0
     lams, mus = [], []
     for _ in range(min(restart_period or max_iter, max_iter)):
-        lam, mu, state = extrapolation_coeffs(
-            state, lambda_bar, mu_bar, tau, restart_period)
-        lams.append(float(lam))
-        mus.append(float(mu))
+        ratio = (kappa_prev - 1.0) / kappa
+        lams.append(float(lambda_bar * ratio))
+        mus.append(float(mu_bar * tau * ratio))
+        kappa_prev, kappa = kappa, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * kappa**2))
     return lams, mus
 
 
@@ -119,18 +92,17 @@ def screen_columns(ref, screen, norm_A, tau, psi, v, g_n):
     return w, cols
 
 
-def iterate(spec, x0, params, tau, lams, mus=None, c=0.0, delta=0.0,
-            wrap_errors=False):
+def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
     """The iteration loop of the proposed solver, GPPA and pDCAe.
 
-    Iteration n steps with tau and the momentum lam = lams[n % len(lams)]
-    (a momentum_table period).  The gradient of h o A is taken at
-    u_n = x_n + lam (x_n - x_{n-1}) and the prox at v_n = x_n + mu (x_n -
-    x_{n-1}), mu from the mus table alike, or at u_n when mus is None
-    (recorded as mu = 0).  A u_n comes from the cached A x_n and A x_{n-1},
-    and F(x_{n+1}) from the one fresh product A x_{n+1}.  c and delta set
-    the monitored Lyapunov decrease; a NaN violation is reported as NaN.
-    wrap_errors re-raises failures of the step as RuntimeError.
+    Iteration n steps with tau and the momenta lam = lams[k] and
+    mu = mus[k], k = n % len(lams) (a momentum_table period; mus is as long
+    as lams).  The gradient of h o A is taken at u_n = x_n + lam (x_n -
+    x_{n-1}) and the prox at v_n = x_n + mu (x_n - x_{n-1}).  A u_n comes
+    from the cached A x_n and A x_{n-1}, and F(x_{n+1}) from the one fresh
+    product A x_{n+1}.  c and delta set the monitored Lyapunov decrease; a
+    NaN violation is reported as NaN.  A failure of the step at iteration n
+    is re-raised as RuntimeError("prox oracle failed at iteration n").
 
     With spec.screen set, the full A* product is kept as a reference, and
     while x_n has at most d/8 nonzeros screen_columns may replace the next
@@ -145,12 +117,11 @@ def iterate(spec, x0, params, tau, lams, mus=None, c=0.0, delta=0.0,
         return spec.value_f(x) + spec.value_h(Ax) - spec.value_g(x)
 
     Ax = spec.map_A.apply(x)
-    f0 = objective(x, Ax)
-    trace = IterateTrace(iterates=[] if params.keep_iterates else None)
-    trace.record(f0, 0.0, f0, 0.0, 0.0, 0.0, x)
+    f0 = float(objective(x, Ax))
+    trace = IterateTrace(objective=[f0], step_norms=[0.0], lyapunov=[f0],
+                         iterates=[x.copy()] if params.keep_iterates else None)
 
     period = len(lams)
-    prox_mus = lams if mus is None else mus
     screen, ref = spec.screen, None
     if screen is not None:
         d = screen.matrix.shape[1]
@@ -161,7 +132,7 @@ def iterate(spec, x0, params, tau, lams, mus=None, c=0.0, delta=0.0,
     t0 = time.perf_counter()
     for n in range(params.max_iter):
         k = n % period
-        lam, mu = lams[k], prox_mus[k]
+        lam, mu = lams[k], mus[k]
         g_n = spec.subgrad_g(x)
         try:
             Au = Ax if lam == 0.0 else Ax + lam * (Ax - Ax_prev)
@@ -180,9 +151,7 @@ def iterate(spec, x0, params, tau, lams, mus=None, c=0.0, delta=0.0,
                            + tau * g_n[cols])
             x_next = spec.prox_fC(w, tau)
         except Exception as exc:
-            if wrap_errors:
-                raise RuntimeError("prox oracle failed at iteration %d" % n) from exc
-            raise
+            raise RuntimeError("prox oracle failed at iteration %d" % n) from exc
         dx = x_next - x
         step = math.sqrt(dx @ dx)
         # a non-finite entry of x_next makes the step non-finite, so only then
@@ -210,10 +179,6 @@ def iterate(spec, x0, params, tau, lams, mus=None, c=0.0, delta=0.0,
             status = "converged"
             break
 
-    reps = iterations // period + 1
-    trace.lambdas += (lams * reps)[:iterations]
-    trace.mus += (([0.0] * period if mus is None else mus) * reps)[:iterations]
-    trace.taus += [float(tau)] * iterations
     return SolveReport(
         x=x,
         objective=trace.objective[-1],
@@ -241,24 +206,7 @@ def solve(spec, x0, params):
     assert all(0.0 <= lam <= params.lambda_bar for lam in lams)
     assert all(0.0 <= mu <= params.mu_bar * tau_bar for mu in mus)
     return iterate(spec, x0, params, tau_bar, lams, mus,
-                   c=lyapunov_c(spec, params), delta=params.delta,
-                   wrap_errors=True)
-
-
-def check_decrease(trace, c, delta, tol=0.0):
-    """Max positive violation of the per-iteration Lyapunov decrease.
-
-    Evaluates max_n [ F(x_{n+1}) + c s_{n+1}^2 + delta s_{n+1}^2
-    - F(x_n) - c s_n^2 ]_+ over the recorded trace, where s_n is the step
-    norm.  The inequality holds (violation <= tol) for exact-prox runs.
-    """
-    worst = 0.0
-    for n in range(len(trace) - 1):
-        f_n = trace.objective[n] + c * trace.step_norms[n] ** 2
-        s = trace.step_norms[n + 1]
-        f_next = trace.objective[n + 1] + (c + delta) * s * s
-        worst = max(worst, f_next - f_n)
-    return max(worst, 0.0)
+                   c=lyapunov_c(spec, params), delta=params.delta)
 
 
 def tail_linear_fit(values, tail_fraction=0.5, floor=1e-14):

@@ -7,12 +7,77 @@ re-evaluates the objective with a second `A` product.  Only the arithmetic
 the tests exercise is kept (constant step, every iterate kept, no input
 checks, no timing): they are the reference that `tests/test_kernel.py`
 compares against, so do not change them.
+
+The loops own their momentum schedule (`ExtrapolationState`,
+`extrapolation_coeffs`: the kappa recursion advanced one iteration at a
+time, as the package computed it before `psg.momentum_table` tabulated it)
+and their trace, which records the lambda, mu and tau each iteration used.
+So the schedule the kernel takes from `psg.momentum_table` is checked
+against an independent copy.
 """
+
+import math
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from dcprox.problem import IterateTrace, tau_upper_bound
-from dcprox.psg import ExtrapolationState, extrapolation_coeffs, lyapunov_c
+from dcprox.problem import tau_upper_bound
+from dcprox.psg import lyapunov_c
+
+
+@dataclass(frozen=True)
+class ExtrapolationState:
+    """Carries (kappa_{n-1}, kappa_n) of the FISTA-type schedule."""
+
+    kappa_prev: float = 1.0
+    kappa_curr: float = 1.0
+    iter_since_restart: int = 0
+
+
+def extrapolation_coeffs(state, lambda_bar, mu_bar, tau_n, restart_period=None):
+    """Momentum coefficients for the current iteration, plus the next state.
+
+    Returns lambda_n = lambda_bar (kappa_{n-1} - 1) / kappa_n and
+    mu_n = mu_bar tau_n (kappa_{n-1} - 1) / kappa_n, then advances the
+    golden-ratio-style recursion kappa_{n+1} = (1 + sqrt(1 + 4 kappa_n^2)) / 2.
+    When restart_period iterations have elapsed the kappas reset to 1.
+    """
+    if tau_n <= 0:
+        raise ValueError("tau_n must be positive")
+    ratio = (state.kappa_prev - 1.0) / state.kappa_curr
+    lam = lambda_bar * ratio
+    mu = mu_bar * tau_n * ratio
+    kappa_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.kappa_curr**2))
+    count = state.iter_since_restart + 1
+    if restart_period is not None and count >= restart_period:
+        nxt = ExtrapolationState(1.0, 1.0, 0)
+    else:
+        nxt = ExtrapolationState(state.kappa_curr, kappa_next, count)
+    return lam, mu, nxt
+
+
+@dataclass
+class IterateTrace:
+    """Per-iteration scalars, momenta and iterates of a reference run."""
+
+    objective: list = field(default_factory=list)
+    step_norms: list = field(default_factory=list)
+    lyapunov: list = field(default_factory=list)
+    lambdas: list = field(default_factory=list)
+    mus: list = field(default_factory=list)
+    taus: list = field(default_factory=list)
+    iterates: Optional[list] = None
+
+    def record(self, obj, step, lyap, lam, mu, tau, x=None):
+        self.objective.append(float(obj))
+        self.step_norms.append(float(step))
+        self.lyapunov.append(float(lyap))
+        self.lambdas.append(float(lam))
+        self.mus.append(float(mu))
+        self.taus.append(float(tau))
+        if self.iterates is not None and x is not None:
+            self.iterates.append(np.array(x, copy=True))
 
 
 def psg_solve(spec, x0, params):

@@ -9,7 +9,7 @@ import legacy_solvers
 from dcprox import cs, psg
 from dcprox.baselines import BaselineParams, gppa_solve, pdcae_solve
 from dcprox.linop import LinearMap, gram_spectrum
-from dcprox.problem import L1Screen, SolverParams
+from dcprox.problem import L1Screen, SolverParams, tau_upper_bound
 from dcprox.psg import solve
 
 #: per-loss (gamma, max_iter) of the sweeps
@@ -35,6 +35,38 @@ def run_new(spec, solver, params):
     return fn(spec, x0, params)
 
 
+def schedule(spec, solver, params):
+    """(tau, lams, mus) as solve, gppa_solve and pdcae_solve hand them to
+    psg.iterate: mus is the momentum of the prox point."""
+    if solver == "proposed":
+        tau = tau_upper_bound(spec, params)
+        return (tau, *psg.momentum_table(params.lambda_bar, params.mu_bar, tau,
+                                         params.restart_period, params.max_iter))
+    if solver == "gppa":
+        return params.step_tau, [0.0], [0.0]
+    thetas, _ = psg.momentum_table(1.0, 0.0, params.step_tau,
+                                   params.restart_period, params.max_iter)
+    return params.step_tau, thetas, thetas
+
+
+def assert_schedule_matches_legacy(spec, solver, params, trace, iterations):
+    """The momentum tables, as iteration n reads them (entry n % period),
+    equal the lambda, prox-point momentum and tau the legacy loop took from
+    its per-iteration schedule; the legacy baseline loop takes its prox at
+    the gradient point y, so its prox momentum is its lambda."""
+    tau, lams, mus = schedule(spec, solver, params)
+    used = [(lams[n % len(lams)], mus[n % len(mus)], tau) for n in range(iterations)]
+    prox = trace.mus if solver == "proposed" else trace.lambdas
+    assert used == list(zip(trace.lambdas[1:], prox[1:], trace.taus[1:])), solver
+
+
+def assert_iterates_match(new, trace, solver):
+    assert len(new.trace.iterates) == len(trace.iterates)
+    worst = max(float(np.max(np.abs(a - b)))
+                for a, b in zip(new.trace.iterates, trace.iterates))
+    assert worst <= 1e-12, (solver, worst)
+
+
 def run_legacy(spec, solver, params):
     x0 = np.zeros(spec.map_A.dim_in)
     if solver == "proposed":
@@ -54,12 +86,9 @@ def test_kernel_matches_legacy_loops(case, loss, seed):
         status, iterations, trace, c, violation = run_legacy(spec, solver, params)
         assert (new.status, new.iterations) == (status, iterations)
         assert new.lyapunov_c == c
-        assert (new.trace.lambdas, new.trace.mus, new.trace.taus) == (
-            trace.lambdas, trace.mus, trace.taus)
-        assert len(new.trace.iterates) == len(trace.iterates) == iterations + 1
-        worst = max(float(np.max(np.abs(a - b)))
-                    for a, b in zip(new.trace.iterates, trace.iterates))
-        assert worst <= 1e-12, (solver, worst)
+        assert_schedule_matches_legacy(spec, solver, params, trace, iterations)
+        assert len(trace.iterates) == iterations + 1
+        assert_iterates_match(new, trace, solver)
         if solver == "gppa":
             assert all(np.array_equal(a, b)
                        for a, b in zip(new.trace.iterates, trace.iterates))
@@ -79,8 +108,8 @@ def test_momentum_table_matches_per_iteration_schedule(solver, restart_period):
     new = run_new(spec, solver, params)
     _, iterations, trace, _, _ = run_legacy(spec, solver, params)
     assert new.iterations == iterations == 40
-    assert (new.trace.lambdas, new.trace.mus, new.trace.taus) == (
-        trace.lambdas, trace.mus, trace.taus)
+    assert_schedule_matches_legacy(spec, solver, params, trace, iterations)
+    assert_iterates_match(new, trace, solver)
 
 
 class CountingMap(LinearMap):
@@ -248,16 +277,16 @@ def skipped_margins(spec, solver, max_iter=3000):
     margins (t - |w_i|) / t of all skipped coordinates.
     """
     rec = recording(spec)
-    rep = run_new(rec, solver, sweep_params(spec, solver, max_iter))
+    params = sweep_params(spec, solver, max_iter)
+    rep = run_new(rec, solver, params)
+    tau, _, mus = schedule(spec, solver, params)
     A, tr = spec.screen.matrix, rep.trace
+    t = spec.screen.gamma * tau
     margins = []
     for n, psi, cols in rec.screen.calls:
         x, x_prev = tr.iterates[n], tr.iterates[max(n - 1, 0)]
-        # the prox point: v_n for the proposed solver, u_n for pDCAe and GPPA
-        mu = tr.mus[n + 1] if solver == "proposed" else tr.lambdas[n + 1]
+        mu = mus[n % len(mus)]
         v = x if mu == 0.0 else x + mu * (x - x_prev)
-        tau = tr.taus[n + 1]
-        t = spec.screen.gamma * tau
         w = v - tau * (A.T @ psi) + tau * rec.screen.subgrads[n]
         skipped = np.ones(len(w), dtype=bool)
         skipped[cols] = False

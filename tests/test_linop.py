@@ -4,7 +4,6 @@ import pytest
 from dcprox.linop import (
     LinearMap,
     SpectralNormError,
-    adjoint_mismatch,
     gram_spectrum,
     spectral_norm,
 )
@@ -77,18 +76,6 @@ def test_identity_map():
     x = np.arange(4.0)
     assert np.array_equal(m.apply(x), x)
     assert np.array_equal(m.adjoint(x), x)
-
-
-def test_adjoint_mismatch_consistent_map():
-    rng = np.random.default_rng(3)
-    m = LinearMap.from_matrix(rng.standard_normal((7, 5)))
-    assert adjoint_mismatch(m, rng) < 1e-12
-
-
-def test_adjoint_mismatch_detects_wrong_adjoint():
-    A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    bad = LinearMap(lambda x: A @ x, lambda y: A @ y, 2, 2)
-    assert adjoint_mismatch(bad) > 1e-3
 
 
 @pytest.mark.parametrize("shape", [(30, 50), (50, 30), (1, 7)])

@@ -5,8 +5,7 @@ import pytest
 
 from dcprox.baselines import BaselineParams
 from dcprox.linop import LinearMap
-from dcprox.problem import (IterateTrace, L1Screen, ProblemSpec, SolverParams,
-                            tau_upper_bound)
+from dcprox.problem import L1Screen, ProblemSpec, SolverParams, tau_upper_bound
 
 
 def make_spec(ell=1.0, norm_a=1.0, beta=0.0):
@@ -90,12 +89,3 @@ def test_objective_composition():
     spec = make_spec()
     x = np.array([1.0, 2.0, 2.0])
     assert abs(spec.objective(x) - 4.5) < 1e-15
-
-
-def test_trace_record_and_len():
-    tr = IterateTrace(iterates=[])
-    tr.record(1.0, 0.0, 1.0, 0.0, 0.0, 0.5, np.zeros(2))
-    tr.record(0.5, 0.1, 0.51, 0.02, 0.001, 0.5, np.ones(2))
-    assert len(tr) == 2
-    assert tr.objective == [1.0, 0.5]
-    assert len(tr.iterates) == 2
