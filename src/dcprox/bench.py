@@ -245,9 +245,7 @@ def run_opf(cfg, net=None):
             lambda_bar=cfg.lambda_bar, mu_bar=cfg.mu_bar, delta=cfg.delta,
             restart_period=cfg.restart_period, max_iter=60, stop_rel_tol=0.0,
         ))
-        _, rate_r2, _ = psg.tail_linear_fit(
-            diag.trace.step_norms[1:], tail_fraction=1.0, floor=1e-12
-        )
+        _, rate_r2, _ = psg.tail_linear_fit(diag.trace.step_norms[1:])
     report = None
     if best_x is not None:
         report = opf.postprocess_solution(
@@ -370,8 +368,8 @@ def _check_network(rng):
     yield ("relaxation gap arithmetic", abs(gap - 0.18) < 1e-12, "%.4f" % gap)
 
 
-def run_checks(extra_checks=None, verbose=True):
-    """Cross-module invariant suite; returns the number of failures.
+def run_checks(extra_checks=None):
+    """Cross-module invariant suite; prints each check, returns the failures.
 
     extra_checks, if given, is an iterable of (name, passed, detail)
     triples appended to the matrix (used to surface injected failures).
@@ -390,8 +388,6 @@ def run_checks(extra_checks=None, verbose=True):
     for name, ok, detail in results:
         if not ok:
             failures += 1
-        if verbose:
-            print("%-32s %s  %s" % (name, "PASS" if ok else "FAIL", detail))
-    if verbose:
-        print("%d checks, %d failures" % (len(results), failures))
+        print("%-32s %s  %s" % (name, "PASS" if ok else "FAIL", detail))
+    print("%d checks, %d failures" % (len(results), failures))
     return failures

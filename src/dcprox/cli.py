@@ -6,21 +6,15 @@ Subcommands:
   check                   cross-module invariant suite (exit 1 on failure)
   gen --case N --seed S --out DIR   write one instance CSV bundle
 
-Config files are flat `key = value` lines (# comments allowed); see
-config_from_dict for the recognized keys.
+Config files are flat `key = value` lines (# comments allowed); the keys
+are the fields of bench.ExperimentConfig.
 """
 
 import argparse
+import dataclasses
 import sys
 
 from . import bench, cs
-
-_LIST_KEYS = {"cases", "solvers"}
-_INT_KEYS = {"n_seeds", "base_seed", "max_iter", "restart_period",
-             "opf_starts", "opf_max_iter"}
-_FLOAT_KEYS = {"gamma", "stop_rel_tol", "lambda_bar", "mu_bar", "delta",
-               "baseline_cost", "round_tol"}
-_STR_KEYS = {"loss_kind", "out_csv", "out_json"}
 
 
 def parse_config(path):
@@ -39,23 +33,23 @@ def parse_config(path):
 
 
 def config_from_dict(raw):
-    """ExperimentConfig from string key/values, with type coercion."""
+    """ExperimentConfig from string key/values.
+
+    Each value is coerced to the type of its ExperimentConfig field; a tuple
+    field takes comma-separated items of its default's item type.
+    """
+    fields = {f.name: f for f in dataclasses.fields(bench.ExperimentConfig)}
     kwargs = {}
     for key, value in raw.items():
-        if key in _LIST_KEYS:
-            items = [v.strip() for v in value.split(",") if v.strip()]
-            if key == "cases":
-                kwargs[key] = tuple(int(v) for v in items)
-            else:
-                kwargs[key] = tuple(items)
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        elif key in _STR_KEYS:
-            kwargs[key] = value
-        else:
+        if key not in fields:
             raise ValueError("unknown config key %r" % key)
+        field = fields[key]
+        if field.type is tuple:
+            item = type(field.default[0])
+            kwargs[key] = tuple(item(v.strip()) for v in value.split(",")
+                                if v.strip())
+        else:
+            kwargs[key] = field.type(value)
     return bench.ExperimentConfig(**kwargs)
 
 

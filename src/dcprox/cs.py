@@ -48,24 +48,23 @@ def _standard_normal_column_major(rng, m, d):
     return A
 
 
-def gen_gaussian(m, d, seed, mode="raw"):
+def gen_gaussian(m, d, seed, mode):
     """m x d Gaussian sensing matrix and an upper bound on its spectral norm.
 
     Returns (A, norm_A).  mode selects the conditioning of the ensemble:
-      "raw"          i.i.d. standard normal entries,
       "scaled"       entries N(0, 1/m), the usual compressed-sensing scaling,
       "orthonormal"  rows orthonormalized (QR of the transpose), so that
                      A A^T = I to rounding and norm_A is 1.
-    For "raw" and "scaled" one eigendecomposition of A A^T verifies full
-    row rank (lambda_min > 1e-12 lambda_max; the draw is repeated on
-    failure, probability ~ 0) and gives the certified norm_A of
+    For "scaled" one eigendecomposition of A A^T verifies full row rank
+    (lambda_min > 1e-12 lambda_max; the draw is repeated on failure,
+    probability ~ 0) and gives the certified norm_A of
     linop.gram_spectrum.  A is column-major, for the support-column
-    products of LinearMap.from_matrix; the raw draw equals
-    rng.standard_normal((m, d)) bit for bit.
+    products of LinearMap.from_matrix; it equals
+    rng.standard_normal((m, d)) / sqrt(m) bit for bit.
     """
     if m > d:
         raise ValueError("need m <= d")
-    if mode not in ("raw", "scaled", "orthonormal"):
+    if mode not in ("scaled", "orthonormal"):
         raise ValueError("unknown mode %r" % (mode,))
     rng = np.random.default_rng(seed)
     for _ in range(8):
@@ -75,8 +74,7 @@ def gen_gaussian(m, d, seed, mode="raw"):
             Q, _ = np.linalg.qr(rng.standard_normal((m, d)).T)
             return np.asfortranarray(Q.T), 1.0
         A = _standard_normal_column_major(rng, m, d)
-        if mode == "scaled":
-            A /= np.sqrt(m)
+        A /= np.sqrt(m)
         lam, norm_A = gram_spectrum(A)
         if lam[0] > 1e-12 * lam[-1]:
             return A, norm_A

@@ -29,30 +29,18 @@ class NetworkLoadError(RuntimeError):
 
 @dataclass(frozen=True)
 class NetworkData:
-    """Per-unit network parameters of the 14-bus case study."""
+    """Per-unit network parameters of the 14-bus DC model."""
 
     demand_p: np.ndarray       # active demand D_i, pu
-    demand_q: np.ndarray       # reactive demand D^Q_i, pu
     susceptance: np.ndarray    # b_ij, diagonal = -row sum of neighbors
-    resistance: np.ndarray     # r_ij, zero diagonal
-    reactance: np.ndarray      # X_ij, zero diagonal
     generator_buses: tuple     # 1-based bus ids
-    base_power_mva: float
-    base_voltage_kv: float
     cost_a: float
     cost_b: float
     cost_c: float
     pv_unit_cost: float
     p_pv_max: float
-    q_pv_max: float
     p_g_max: float
-    q_g_max: float
     line_p_max: float
-    line_q_max: float
-    v_max: float
-    v_min: float
-    i_max: float
-    i_min: float
     gamma: float
 
     @property
@@ -74,9 +62,8 @@ def _read_matrix(path):
 def load_network(data_dir=None):
     """NetworkData from a directory of CSV files (bundled data by default).
 
-    Expects params.csv (key,value), demand.csv (bus,active_pu,reactive_pu)
-    and 14 x 14 bus matrices susceptance.csv, resistance.csv, reactance.csv.
-    All files carry per-unit values already.
+    Reads params.csv (key,value), demand.csv (bus,active_pu) and the
+    14 x 14 bus matrix susceptance.csv, all in per-unit values.
     """
     if data_dir is None:
         data_dir = importlib.resources.files("dcprox") / "data"
@@ -89,67 +76,45 @@ def load_network(data_dir=None):
         with open(data_dir / "demand.csv", newline="") as fh:
             reader = csv.reader(fh)
             next(reader)
-            dem = {int(r[0]): (float(r[1]), float(r[2])) for r in reader}
+            dem = {int(r[0]): float(r[1]) for r in reader}
         b = _read_matrix(data_dir / "susceptance.csv")
-        r = _read_matrix(data_dir / "resistance.csv")
-        x = _read_matrix(data_dir / "reactance.csv")
-    except (OSError, ValueError, KeyError, StopIteration) as exc:
+    except (OSError, ValueError, IndexError, KeyError, StopIteration) as exc:
         raise NetworkLoadError("malformed network files: %s" % exc) from exc
 
     if sorted(dem) != list(range(1, N_BUS + 1)):
         raise NetworkLoadError("missing bus in demand.csv")
-    demand_p = np.array([dem[i][0] for i in range(1, N_BUS + 1)])
-    demand_q = np.array([dem[i][1] for i in range(1, N_BUS + 1)])
-    if np.any(demand_p < 0) or np.any(demand_q < 0):
+    demand_p = np.array([dem[i] for i in range(1, N_BUS + 1)])
+    if np.any(demand_p < 0):
         raise NetworkLoadError("negative demand")
-    for name, M in (("susceptance", b), ("resistance", r), ("reactance", x)):
-        if np.max(np.abs(M - M.T)) > 1e-12:
-            raise NetworkLoadError("%s matrix asymmetric beyond 1e-12" % name)
-    for name, M in (("resistance", r), ("reactance", x)):
-        if np.any(np.diag(M) != 0):
-            raise NetworkLoadError("%s diagonal must be zero" % name)
+    if np.max(np.abs(b - b.T)) > 1e-12:
+        raise NetworkLoadError("susceptance matrix asymmetric beyond 1e-12")
     off = b - np.diag(np.diag(b))
     if np.max(np.abs(np.diag(b) + off.sum(axis=1))) > 1e-9 * np.max(np.abs(b)):
         raise NetworkLoadError("susceptance diagonal must equal -row sum")
 
-    caps = ("p_pv_max_pu", "q_pv_max_pu", "p_g_max_pu", "q_g_max_pu",
-            "line_p_max_pu", "line_q_max_pu")
     try:
-        if any(float(params[k]) <= 0 for k in caps):
-            raise NetworkLoadError("capacities must be positive")
-        return _build_network(params, demand_p, demand_q, b, r, x)
+        net = NetworkData(
+            demand_p=demand_p,
+            susceptance=b,
+            generator_buses=tuple(
+                int(v) for v in params["generator_buses"].split(";")
+            ),
+            cost_a=float(params["cost_a"]),
+            cost_b=float(params["cost_b"]),
+            cost_c=float(params["cost_c"]),
+            pv_unit_cost=float(params["pv_unit_cost"]),
+            p_pv_max=float(params["p_pv_max_pu"]),
+            p_g_max=float(params["p_g_max_pu"]),
+            line_p_max=float(params["line_p_max_pu"]),
+            gamma=float(params["gamma"]),
+        )
     except (KeyError, ValueError) as exc:
         raise NetworkLoadError("malformed params.csv: %s" % exc) from exc
-
-
-def _build_network(params, demand_p, demand_q, b, r, x):
-    return NetworkData(
-        demand_p=demand_p,
-        demand_q=demand_q,
-        susceptance=b,
-        resistance=r,
-        reactance=x,
-        generator_buses=tuple(
-            int(v) for v in str(params["generator_buses"]).split(";")
-        ),
-        base_power_mva=float(params["base_power_mva"]),
-        base_voltage_kv=float(params["base_voltage_kv"]),
-        cost_a=float(params["cost_a"]),
-        cost_b=float(params["cost_b"]),
-        cost_c=float(params["cost_c"]),
-        pv_unit_cost=float(params["pv_unit_cost"]),
-        p_pv_max=float(params["p_pv_max_pu"]),
-        q_pv_max=float(params["q_pv_max_pu"]),
-        p_g_max=float(params["p_g_max_pu"]),
-        q_g_max=float(params["q_g_max_pu"]),
-        line_p_max=float(params["line_p_max_pu"]),
-        line_q_max=float(params["line_q_max_pu"]),
-        v_max=float(params["v_max_pu"]),
-        v_min=float(params["v_min_pu"]),
-        i_max=float(params["i_max_pu"]),
-        i_min=float(params["i_min_pu"]),
-        gamma=float(params["gamma"]),
-    )
+    if any(cap <= 0 for cap in (net.p_pv_max, net.p_g_max, net.line_p_max)):
+        raise NetworkLoadError("capacities must be positive")
+    if not all(1 <= g <= N_BUS for g in net.generator_buses):
+        raise NetworkLoadError("generator bus out of range")
+    return net
 
 
 @dataclass(frozen=True)
@@ -190,7 +155,7 @@ class DCOPFLayout:
         )
 
 
-def build_dcopf(net, gamma=None):
+def build_dcopf(net):
     """Assemble the relaxed placement problem.
 
     Returns (ProblemSpec, PolyhedralSet, DCOPFLayout) with
@@ -205,7 +170,7 @@ def build_dcopf(net, gamma=None):
     prox_fC is the projection onto S, certified to PROJECTION_TOL; an S with
     no point within that tolerance raises InfeasiblePolyhedronError.
     """
-    gamma = net.gamma if gamma is None else float(gamma)
+    gamma = net.gamma
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     lay = DCOPFLayout()
@@ -368,8 +333,7 @@ class PlanReport:
         return "\n".join(lines)
 
 
-def postprocess_solution(x, net, layout, round_tol=1e-3, baseline_cost=None,
-                         gamma=None):
+def postprocess_solution(x, net, layout, round_tol=1e-3, baseline_cost=None):
     """Round the indicators and report placement, dispatch, and costs.
 
     Indicators within round_tol of {0, 1} are snapped; any other value marks
@@ -377,7 +341,6 @@ def postprocess_solution(x, net, layout, round_tol=1e-3, baseline_cost=None,
     the pre-optimization operating cost supplied by the caller; when given,
     the relative cost reduction is reported against it.
     """
-    gamma = net.gamma if gamma is None else float(gamma)
     ppv, pg, xb, _, _ = layout.unpack(x)
     rounded = np.round(xb)
     fractional = bool(np.any(np.abs(xb - rounded) > round_tol))
@@ -391,7 +354,7 @@ def postprocess_solution(x, net, layout, round_tol=1e-3, baseline_cost=None,
     penetration = float(ppv.sum() / net.total_demand)
     objective = (
         install + gen_cost - penetration
-        - gamma * float(np.sum(xb * xb - xb))
+        - net.gamma * float(np.sum(xb * xb - xb))
     )
     reduction = None
     if baseline_cost is not None:

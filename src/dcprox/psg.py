@@ -102,7 +102,8 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
     from the cached A x_n and A x_{n-1}, and F(x_{n+1}) from the one fresh
     product A x_{n+1}.  c and delta set the monitored Lyapunov decrease; a
     NaN violation is reported as NaN.  A failure of the step at iteration n
-    is re-raised as RuntimeError("prox oracle failed at iteration n").
+    (subgrad_g, grad_h, the A* product or prox_fC) is re-raised as
+    RuntimeError("prox oracle failed at iteration n").
 
     With spec.screen set, the full A* product is kept as a reference, and
     while x_n has at most d/8 nonzeros screen_columns may replace the next
@@ -133,8 +134,8 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
     for n in range(params.max_iter):
         k = n % period
         lam, mu = lams[k], mus[k]
-        g_n = spec.subgrad_g(x)
         try:
+            g_n = spec.subgrad_g(x)
             Au = Ax if lam == 0.0 else Ax + lam * (Ax - Ax_prev)
             psi = spec.grad_h(Au)
             v = x if mu == 0.0 else x + mu * (x - x_prev)
@@ -209,19 +210,16 @@ def solve(spec, x0, params):
                    c=lyapunov_c(spec, params), delta=params.delta)
 
 
-def tail_linear_fit(values, tail_fraction=0.5, floor=1e-14):
-    """Least-squares linear fit of log(values) over the trailing window.
+def tail_linear_fit(values):
+    """Least-squares linear fit of log(values) against their indices.
 
-    Returns (slope, r_squared, n_points).  Values at or below `floor` are
+    Returns (slope, r_squared, n_points).  Values at or below 1e-12 are
     dropped.  Used as an empirical linear-convergence diagnostic.
     """
     v = np.asarray(values, dtype=float)
-    keep = v > floor
+    keep = v > 1e-12
     v = v[keep]
     idx = np.nonzero(keep)[0]
-    start = int(len(v) * (1.0 - tail_fraction))
-    v = v[start:]
-    idx = idx[start:]
     if len(v) < 3:
         return float("nan"), float("nan"), len(v)
     y = np.log(v)

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import subprocess
@@ -102,6 +103,18 @@ def test_cli_cs_run(tmp_path, capsys):
     assert rc == 0
     assert out.startswith("case,solver,")
     assert "proposed" in out
+
+
+def test_cli_opf_run(tmp_path, capsys):
+    report = tmp_path / "plan.json"
+    p = tmp_path / "cfg.txt"
+    p.write_text("opf_starts = 2\nout_json = %s\n" % report)
+    rc = cli.main(["opf-run", "--config", str(p)])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    data = json.loads(report.read_text())
+    assert "placement buses   : %s" % data["placement"] in out
+    assert data["total_cost_dollars"] > 0
 
 
 def test_cli_gen_round_trip(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib.resources
 import json
 import shutil
 
@@ -33,12 +35,23 @@ def test_load_network_reference_values(net):
 
 
 def _copy_data(tmp_path):
-    import importlib.resources
-
     src = str(importlib.resources.files("dcprox") / "data")
     dst = tmp_path / "data"
     shutil.copytree(src, dst)
     return dst
+
+
+def test_load_network_reads_only_the_dc_files(tmp_path):
+    src = importlib.resources.files("dcprox") / "data"
+    d = tmp_path / "data"
+    d.mkdir()
+    for name in ("params.csv", "demand.csv", "susceptance.csv"):
+        shutil.copy(str(src / name), d / name)
+    net = opf.load_network(d)
+    ref = opf.load_network()
+    assert np.array_equal(net.demand_p, ref.demand_p)
+    assert np.array_equal(net.susceptance, ref.susceptance)
+    assert net.gamma == ref.gamma == 1.0
 
 
 def test_load_network_rejects_asymmetry(tmp_path):
@@ -68,10 +81,30 @@ def test_load_network_rejects_missing_bus(tmp_path):
         opf.load_network(d)
 
 
+@pytest.mark.parametrize("name, old, new, match", [
+    ("params.csv", "p_g_max_pu,0.05", "p_g_max_pu,0", "capacities must be positive"),
+    ("susceptance.csv", "1,-998,998", "1,-997,998", "diagonal must equal -row sum"),
+    ("params.csv", "generator_buses,11", "generator_buses,0", "generator bus out of range"),
+], ids=["cap", "row-sum", "generator-bus"])
+def test_load_network_rejects_bad_values(tmp_path, name, old, new, match):
+    d = _copy_data(tmp_path)
+    text = (d / name).read_text()
+    assert old in text
+    (d / name).write_text(text.replace(old, new))
+    with pytest.raises(opf.NetworkLoadError, match=match):
+        opf.load_network(d)
+
+
 def test_load_network_rejects_malformed_file(tmp_path):
     d = _copy_data(tmp_path)
     (d / "params.csv").write_text("key,value\ncost_a,not-a-number\n")
     with pytest.raises(opf.NetworkLoadError):
+        opf.load_network(d)
+    # a demand row without its value
+    d = _copy_data(tmp_path / "short-row")
+    text = (d / "demand.csv").read_text().replace("2,0\n", "2\n")
+    (d / "demand.csv").write_text(text)
+    with pytest.raises(opf.NetworkLoadError, match="malformed network files"):
         opf.load_network(d)
 
 
@@ -120,7 +153,7 @@ def test_gradient_of_g_closed_form(built):
 
 def test_build_rejects_bad_gamma(net):
     with pytest.raises(ValueError):
-        opf.build_dcopf(net, gamma=0.0)
+        opf.build_dcopf(dataclasses.replace(net, gamma=0.0))
 
 
 def test_feasible_point_properties(built, net):

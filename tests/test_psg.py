@@ -113,21 +113,25 @@ def test_solve_surfaces_nonfinite_iterates():
 
 @pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
 def test_solve_wraps_prox_failures(solver):
+    # each oracle is called once per iteration, so its 4th call is in
+    # iteration 3
     _, spec = make_problem()
     from dataclasses import replace
 
-    calls = [0]
+    for oracle in ("prox_fC", "grad_h", "subgrad_g"):
+        good = getattr(spec, oracle)
+        calls = [0]
 
-    def bad_prox(w, tau):
-        calls[0] += 1
-        if calls[0] == 4:
-            raise KeyError("boom")
-        return spec.prox_fC(w, tau)
+        def bad(*args):
+            calls[0] += 1
+            if calls[0] == 4:
+                raise KeyError("boom")
+            return good(*args)
 
-    broken = replace(spec, prox_fC=bad_prox)
-    with pytest.raises(RuntimeError, match="^prox oracle failed at iteration 3$") as err:
-        run_new(broken, solver, sweep_params(spec, solver, 5, stop_rel_tol=0.0))
-    assert isinstance(err.value.__cause__, KeyError)
+        broken = replace(spec, **{oracle: bad})
+        with pytest.raises(RuntimeError, match="^prox oracle failed at iteration 3$") as err:
+            run_new(broken, solver, sweep_params(spec, solver, 5, stop_rel_tol=0.0))
+        assert isinstance(err.value.__cause__, KeyError), oracle
 
 
 @pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
@@ -152,10 +156,10 @@ def test_lyapunov_monitor_flags_injected_increase(solver):
 
 def test_tail_linear_fit_geometric_sequence():
     vals = 3.0 * 0.8 ** np.arange(100)
-    slope, r2, n = tail_linear_fit(vals, tail_fraction=0.5)
+    slope, r2, n = tail_linear_fit(vals)
     assert abs(slope - np.log(0.8)) < 1e-10
     assert r2 > 0.999999
-    assert n == 50
+    assert n == 100
 
 
 def test_tail_linear_fit_short_input():
