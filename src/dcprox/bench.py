@@ -2,7 +2,7 @@
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,50 +11,51 @@ from .problem import SolverParams, tau_upper_bound
 
 SOLVERS = ("gppa", "pdcae", "proposed")
 
-#: per-loss defaults: (gamma, max_iter)
+#: (gamma, max_iter) of every sweep solve of a loss; the solvers run with the
+#: defaults of SolverParams and BaselineParams
 LOSS_DEFAULTS = {"least-squares": (0.1, 3000), "lorentzian": (0.001, 4000)}
+#: iteration cap of every OPF solve, and the no-PV cost (in cost units)
+#: that the plan report measures its reduction against
+OPF_MAX_ITER = 1000
+OPF_BASELINE_COST = 6.433
+
+
+def _check_solvers(solvers):
+    unknown = set(solvers) - set(SOLVERS)
+    if unknown:
+        raise ValueError("unimplemented solvers: %s" % sorted(unknown))
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """One sweep: which cases, which solvers, how many seeds."""
+class SweepConfig:
+    """One sparse-recovery sweep: which cases, loss, solvers and seeds."""
 
     cases: tuple = (1, 2, 5, 6)
     loss_kind: str = "least-squares"
     solvers: tuple = SOLVERS
-    gamma: float = None          # None = per-loss default
     n_seeds: int = 5
     base_seed: int = 0
-    max_iter: int = None         # None = per-loss default
-    stop_rel_tol: float = 1e-8
-    lambda_bar: float = 0.1
-    mu_bar: float = 0.01
-    delta: float = 5e-25
-    restart_period: int = 50
     out_csv: str = None
-    # multi-start power-flow settings
-    opf_starts: int = 30
-    opf_max_iter: int = 1000
-    baseline_cost: float = 6.433
-    round_tol: float = 1e-3
-    out_json: str = None
 
     def __post_init__(self):
         if self.n_seeds < 1:
             raise ValueError("need at least one seed")
+        _check_solvers(self.solvers)
+
+
+@dataclass(frozen=True)
+class OPFConfig:
+    """One multi-start power-flow run: which solvers, seed and start count."""
+
+    solvers: tuple = SOLVERS
+    base_seed: int = 0
+    opf_starts: int = 30
+    out_json: str = None
+
+    def __post_init__(self):
         if self.opf_starts < 1:
             raise ValueError("need at least one power-flow start")
-        unknown = set(self.solvers) - set(SOLVERS)
-        if unknown:
-            raise ValueError("unimplemented solvers: %s" % sorted(unknown))
-
-    def resolved(self):
-        gamma, iters = LOSS_DEFAULTS[self.loss_kind]
-        return replace(
-            self,
-            gamma=self.gamma if self.gamma is not None else gamma,
-            max_iter=self.max_iter if self.max_iter is not None else iters,
-        )
+        _check_solvers(self.solvers)
 
 
 @dataclass
@@ -73,19 +74,13 @@ class RunRecord:
     failure: str = ""
 
 
-def _solve_cell(spec, x0, solver, cfg):
+def _solve_cell(spec, x0, solver, max_iter):
     base_tau = 1.0 / (spec.lipschitz_ell * spec.norm_A**2)
     if solver == "proposed":
-        params = SolverParams(
-            lambda_bar=cfg.lambda_bar, mu_bar=cfg.mu_bar, delta=cfg.delta,
-            restart_period=cfg.restart_period, max_iter=cfg.max_iter,
-            stop_rel_tol=cfg.stop_rel_tol,
-        )
-        return psg.solve(spec, x0, params)
+        return psg.solve(spec, x0, SolverParams(max_iter=max_iter))
     params = baselines.BaselineParams(
         step_tau=0.8 * base_tau if solver == "gppa" else base_tau,
-        max_iter=cfg.max_iter, stop_rel_tol=cfg.stop_rel_tol,
-        extrapolation=solver == "pdcae", restart_period=cfg.restart_period,
+        max_iter=max_iter, extrapolation=solver == "pdcae",
     )
     if solver == "gppa":
         return baselines.gppa_solve(spec, x0, params)
@@ -93,9 +88,10 @@ def _solve_cell(spec, x0, solver, cfg):
 
 
 def _run_instance(case, seed, cfg):
+    gamma, max_iter = LOSS_DEFAULTS[cfg.loss_kind]
     records = []
     try:
-        inst = cs.make_instance(case, seed, cfg.gamma, cfg.loss_kind)
+        inst = cs.make_instance(case, seed, gamma, cfg.loss_kind)
         spec = cs.build_cs_problem(inst)
     except Exception as exc:
         return [
@@ -105,7 +101,7 @@ def _run_instance(case, seed, cfg):
     for solver in cfg.solvers:
         rec = RunRecord(case, seed, solver)
         try:
-            rep = _solve_cell(spec, x0, solver, cfg)
+            rep = _solve_cell(spec, x0, solver, max_iter)
             rec.iterations = rep.iterations
             rec.error = cs.ground_truth_error(rep.x, inst.x_g)
             rec.objective = rep.objective
@@ -127,7 +123,6 @@ class SweepResult:
 
 def run_cs_sweep(cfg):
     """Sweep solver x case over seeds; errors are recorded, not raised."""
-    cfg = cfg.resolved()
     runs = [rec for case in cfg.cases for k in range(cfg.n_seeds)
             for rec in _run_instance(case, cfg.base_seed + k, cfg)]
 
@@ -207,19 +202,17 @@ def run_opf(cfg, net=None):
     onto the feasible set, then every solver of cfg.solvers runs from it.
     All starts share one model and its projector.
     """
-    cfg = replace(cfg, loss_kind="least-squares").resolved()
     if net is None:
         net = opf.load_network()
     spec, set_, lay = opf.build_dcopf(net)
     rng = np.random.default_rng(cfg.base_seed)
     x0s = [_random_start(set_, rng, spec) for _ in range(cfg.opf_starts)]
 
-    opf_cfg = replace(cfg, max_iter=cfg.opf_max_iter)
     starts = []
     best_objective, best_x = np.inf, None
     for solver in cfg.solvers:
         for k, x0 in enumerate(x0s):
-            rep = _solve_cell(spec, x0, solver, opf_cfg)
+            rep = _solve_cell(spec, x0, solver, OPF_MAX_ITER)
             starts.append({
                 "solver": solver, "start": k, "objective": rep.objective,
                 "iterations": rep.iterations, "wall_time": rep.wall_time,
@@ -241,17 +234,13 @@ def run_opf(cfg, net=None):
     if "proposed" in cfg.solvers:
         # Dedicated diagnostic run with the stopping rule disabled, so the
         # tail fit sees the full step-norm history rather than 2-3 points.
-        diag = psg.solve(spec, x0s[0], SolverParams(
-            lambda_bar=cfg.lambda_bar, mu_bar=cfg.mu_bar, delta=cfg.delta,
-            restart_period=cfg.restart_period, max_iter=60, stop_rel_tol=0.0,
-        ))
+        diag = psg.solve(spec, x0s[0],
+                         SolverParams(max_iter=60, stop_rel_tol=0.0))
         _, rate_r2, _ = psg.tail_linear_fit(diag.trace.step_norms[1:])
     report = None
     if best_x is not None:
-        report = opf.postprocess_solution(
-            best_x, net, lay, round_tol=cfg.round_tol,
-            baseline_cost=cfg.baseline_cost,
-        )
+        report = opf.postprocess_solution(best_x, net, lay,
+                                          baseline_cost=OPF_BASELINE_COST)
     result = OPFResult(
         best_report=report, best_x=best_x, stats=stats, starts=starts,
         rate_r2=rate_r2,

@@ -7,7 +7,7 @@ Subcommands:
   gen --case N --seed S --out DIR   write one instance CSV bundle
 
 Config files are flat `key = value` lines (# comments allowed); the keys
-are the fields of bench.ExperimentConfig.
+are the fields of bench.SweepConfig (cs-run) or bench.OPFConfig (opf-run).
 """
 
 import argparse
@@ -32,13 +32,13 @@ def parse_config(path):
     return out
 
 
-def config_from_dict(raw):
-    """ExperimentConfig from string key/values.
+def config_from_dict(cls, raw):
+    """Config of dataclass cls from string key/values.
 
-    Each value is coerced to the type of its ExperimentConfig field; a tuple
-    field takes comma-separated items of its default's item type.
+    Each value is coerced to the type of its cls field; a tuple field takes
+    comma-separated items of its default's item type.  Other keys fail.
     """
-    fields = {f.name: f for f in dataclasses.fields(bench.ExperimentConfig)}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in raw.items():
         if key not in fields:
@@ -50,15 +50,15 @@ def config_from_dict(raw):
                                 if v.strip())
         else:
             kwargs[key] = field.type(value)
-    return bench.ExperimentConfig(**kwargs)
+    return cls(**kwargs)
 
 
-def load_config(path):
-    return config_from_dict(parse_config(path)) if path else bench.ExperimentConfig()
+def load_config(cls, path):
+    return config_from_dict(cls, parse_config(path)) if path else cls()
 
 
 def cmd_cs_run(args):
-    cfg = load_config(args.config)
+    cfg = load_config(bench.SweepConfig, args.config)
     result = bench.run_cs_sweep(cfg)
     print(bench.results_csv_text(result.rows), end="")
     n_errors = sum(row["n_errors"] for row in result.rows)
@@ -68,7 +68,7 @@ def cmd_cs_run(args):
 
 
 def cmd_opf_run(args):
-    cfg = load_config(args.config)
+    cfg = load_config(bench.OPFConfig, args.config)
     result = bench.run_opf(cfg)
     for solver, stat in result.stats.items():
         print("%-10s mean obj %.6f  best obj %.6f  mean iters %.1f"
@@ -85,8 +85,8 @@ def cmd_check(args):
 
 
 def cmd_gen(args):
-    cfg = bench.ExperimentConfig(loss_kind=args.loss).resolved()
-    inst = cs.make_instance(args.case, args.seed, cfg.gamma, cfg.loss_kind)
+    gamma, _ = bench.LOSS_DEFAULTS[args.loss]
+    inst = cs.make_instance(args.case, args.seed, gamma, args.loss)
     cs.save_instance(inst, args.out)
     print("wrote case %d seed %d (%d x %d) to %s"
           % (args.case, args.seed, inst.m, inst.d, args.out))

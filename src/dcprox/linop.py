@@ -55,8 +55,9 @@ class LinearMap:
         d = A.shape[1]
 
         def apply(x):
-            if 8 * np.count_nonzero(x) <= d:
-                S = np.flatnonzero(x)
+            nz = x != 0
+            if 8 * np.count_nonzero(nz) <= d:
+                S = nz.nonzero()[0]
                 return A[:, S] @ x[S]
             return A @ x
 

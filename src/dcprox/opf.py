@@ -21,6 +21,8 @@ N_BUS = 14
 DOLLARS_PER_UNIT = 1_040_000.0
 #: residual to which every projection onto the placement polyhedron is certified
 PROJECTION_TOL = 1e-9
+#: distance from {0, 1} within which the plan report snaps an indicator
+ROUND_TOL = 1e-3
 
 
 class NetworkLoadError(RuntimeError):
@@ -333,17 +335,17 @@ class PlanReport:
         return "\n".join(lines)
 
 
-def postprocess_solution(x, net, layout, round_tol=1e-3, baseline_cost=None):
+def postprocess_solution(x, net, layout, baseline_cost=None):
     """Round the indicators and report placement, dispatch, and costs.
 
-    Indicators within round_tol of {0, 1} are snapped; any other value marks
+    Indicators within ROUND_TOL of {0, 1} are snapped; any other value marks
     the report as an unrounded relaxation.  baseline_cost (in cost units) is
     the pre-optimization operating cost supplied by the caller; when given,
     the relative cost reduction is reported against it.
     """
     ppv, pg, xb, _, _ = layout.unpack(x)
     rounded = np.round(xb)
-    fractional = bool(np.any(np.abs(xb - rounded) > round_tol))
+    fractional = bool(np.any(np.abs(xb - rounded) > ROUND_TOL))
     flags = ["unrounded relaxation"] if fractional else []
     placement = tuple(int(i) + 1 for i in np.flatnonzero(rounded > 0.5))
 

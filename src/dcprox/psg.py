@@ -102,8 +102,8 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
     from the cached A x_n and A x_{n-1}, and F(x_{n+1}) from the one fresh
     product A x_{n+1}.  c and delta set the monitored Lyapunov decrease; a
     NaN violation is reported as NaN.  A failure of the step at iteration n
-    (subgrad_g, grad_h, the A* product or prox_fC) is re-raised as
-    RuntimeError("prox oracle failed at iteration n").
+    is re-raised, chained, as RuntimeError("<oracle> failed at iteration n"),
+    naming subgrad_g, grad_h, the A* product (full or on columns) or prox_fC.
 
     With spec.screen set, the full A* product is kept as a reference, and
     while x_n has at most d/8 nonzeros screen_columns may replace the next
@@ -135,9 +135,12 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
         k = n % period
         lam, mu = lams[k], mus[k]
         try:
+            oracle = "subgrad_g"
             g_n = spec.subgrad_g(x)
+            oracle = "grad_h"
             Au = Ax if lam == 0.0 else Ax + lam * (Ax - Ax_prev)
             psi = spec.grad_h(Au)
+            oracle = "A* product"
             v = x if mu == 0.0 else x + mu * (x - x_prev)
             cols = None
             if ref is not None and 8 * np.count_nonzero(x) <= d:
@@ -150,9 +153,10 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
             else:
                 w[cols] = (v[cols] - tau * screen.adjoint_columns(psi, cols)
                            + tau * g_n[cols])
+            oracle = "prox_fC"
             x_next = spec.prox_fC(w, tau)
         except Exception as exc:
-            raise RuntimeError("prox oracle failed at iteration %d" % n) from exc
+            raise RuntimeError("%s failed at iteration %d" % (oracle, n)) from exc
         dx = x_next - x
         step = math.sqrt(dx @ dx)
         # a non-finite entry of x_next makes the step non-finite, so only then

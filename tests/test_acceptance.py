@@ -32,7 +32,7 @@ def report(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def ls_sweep():
-    cfg = bench.ExperimentConfig(
+    cfg = bench.SweepConfig(
         cases=(1, 2, 5, 6), loss_kind="least-squares", n_seeds=SEEDS,
         base_seed=0,
     )
@@ -41,7 +41,7 @@ def ls_sweep():
 
 @pytest.fixture(scope="module")
 def lorentzian_sweep():
-    cfg = bench.ExperimentConfig(
+    cfg = bench.SweepConfig(
         cases=(1, 5), loss_kind="lorentzian", n_seeds=SEEDS,
         base_seed=0,
     )
@@ -50,7 +50,7 @@ def lorentzian_sweep():
 
 @pytest.fixture(scope="module")
 def opf_run():
-    cfg = bench.ExperimentConfig(opf_starts=30, base_seed=0)
+    cfg = bench.OPFConfig(opf_starts=30, base_seed=0)
     return bench.run_opf(cfg)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -27,38 +28,74 @@ def test_parse_config_rejects_garbage(tmp_path):
 
 
 def test_config_from_dict_coercion():
-    cfg = cli.config_from_dict({
+    cfg = cli.config_from_dict(bench.SweepConfig, {
         "cases": "1,2", "solvers": "gppa, proposed", "n_seeds": "3",
-        "gamma": "0.5", "loss_kind": "lorentzian",
+        "base_seed": "4", "loss_kind": "lorentzian", "out_csv": "a.csv",
     })
-    assert cfg.cases == (1, 2)
-    assert cfg.solvers == ("gppa", "proposed")
-    assert cfg.n_seeds == 3
-    assert cfg.gamma == 0.5
+    assert cfg == bench.SweepConfig(
+        cases=(1, 2), loss_kind="lorentzian", solvers=("gppa", "proposed"),
+        n_seeds=3, base_seed=4, out_csv="a.csv")
+    cfg = cli.config_from_dict(bench.OPFConfig, {
+        "solvers": "proposed", "base_seed": "2", "opf_starts": "7",
+        "out_json": "plan.json",
+    })
+    assert cfg == bench.OPFConfig(solvers=("proposed",), base_seed=2,
+                                  opf_starts=7, out_json="plan.json")
 
 
 def test_config_rejects_unknown_key():
-    with pytest.raises(ValueError, match="unknown config key"):
-        cli.config_from_dict({"frobnicate": "1"})
+    for cls in (bench.SweepConfig, bench.OPFConfig):
+        with pytest.raises(ValueError, match="unknown config key"):
+            cli.config_from_dict(cls, {"frobnicate": "1"})
+
+
+@pytest.mark.parametrize("command, line", [
+    ("opf-run", "gamma = 2"),
+    ("cs-run", "lambda_bar = 0.2"),
+    ("cs-run", "opf_starts = 2"),
+])
+def test_cli_rejects_keys_of_other_commands(tmp_path, command, line):
+    # each command takes only the fields of its own config class; the
+    # solver parameters, gamma and the iteration caps are not config keys
+    p = tmp_path / "cfg.txt"
+    p.write_text(line + "\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-m", "dcprox.cli", command,
+                          "--config", str(p)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode != 0
+    assert "unknown config key %r" % line.split()[0] in run.stderr
+
+
+def test_readme_lists_the_config_keys():
+    text = (SRC.parent / "README.md").read_text()
+    for command, cls in (("cs-run", bench.SweepConfig),
+                         ("opf-run", bench.OPFConfig)):
+        # the key table follows its "`dcprox <command>` keys" line
+        table = text.split("`dcprox %s` keys" % command, 1)[1].split("\n\n")[1]
+        rows = table.splitlines()[2:]
+        keys = [row.split("`")[1] for row in rows]
+        assert keys == [f.name for f in dataclasses.fields(cls)], command
 
 
 def test_config_rejects_unknown_solver():
-    with pytest.raises(ValueError, match="unimplemented solvers"):
-        bench.ExperimentConfig(solvers=("admm",))
+    for cls in (bench.SweepConfig, bench.OPFConfig):
+        with pytest.raises(ValueError, match="unimplemented solvers"):
+            cls(solvers=("admm",))
 
 
 def test_config_rejects_zero_seeds():
     with pytest.raises(ValueError):
-        bench.ExperimentConfig(n_seeds=0)
+        bench.SweepConfig(n_seeds=0)
 
 
 def test_config_rejects_zero_opf_starts():
     with pytest.raises(ValueError, match="power-flow start"):
-        bench.ExperimentConfig(opf_starts=0)
+        bench.OPFConfig(opf_starts=0)
 
 
 def test_sweep_shape_single_cell():
-    cfg = bench.ExperimentConfig(cases=(1,), solvers=("proposed",), n_seeds=1)
+    cfg = bench.SweepConfig(cases=(1,), solvers=("proposed",), n_seeds=1)
     res = bench.run_cs_sweep(cfg)
     assert len(res.rows) == 1
     assert len(res.runs) == 1
@@ -67,8 +104,8 @@ def test_sweep_shape_single_cell():
 
 
 def test_sweep_csv_byte_stable():
-    cfg = bench.ExperimentConfig(cases=(1,), solvers=("gppa", "proposed"),
-                                 n_seeds=2)
+    cfg = bench.SweepConfig(cases=(1,), solvers=("gppa", "proposed"),
+                            n_seeds=2)
     a = bench.run_cs_sweep(cfg)
     b = bench.run_cs_sweep(cfg)
 
@@ -84,7 +121,7 @@ def test_sweep_csv_byte_stable():
 
 
 def test_sweep_records_cell_failures(monkeypatch):
-    cfg = bench.ExperimentConfig(cases=(1,), solvers=("proposed",), n_seeds=1)
+    cfg = bench.SweepConfig(cases=(1,), solvers=("proposed",), n_seeds=1)
 
     def boom(*a, **k):
         raise RuntimeError("injected")

@@ -236,7 +236,7 @@ def test_plan_report_serialization(net):
 def test_multi_start_monotonicity(net):
     from dcprox import bench
 
-    cfg = bench.ExperimentConfig(opf_starts=4, base_seed=2, solvers=("proposed",))
+    cfg = bench.OPFConfig(opf_starts=4, base_seed=2, solvers=("proposed",))
     res = bench.run_opf(cfg, net=net)
     objs = [s["objective"] for s in res.starts]
     best_so_far = np.minimum.accumulate(objs)
@@ -255,7 +255,7 @@ def test_run_opf_builds_one_model(net, monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(bench.opf, "build_dcopf", counting_build)
-    cfg = bench.ExperimentConfig(opf_starts=2, base_seed=0)
+    cfg = bench.OPFConfig(opf_starts=2, base_seed=0)
     res = bench.run_opf(cfg, net=net)
     assert len(calls) == 1
     assert len(res.starts) == 2 * len(bench.SOLVERS)

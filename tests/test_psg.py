@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from dcprox import cs
-from dcprox.problem import SolverParams, tau_upper_bound
+from dcprox.linop import LinearMap
+from dcprox.problem import L1Screen, SolverParams, tau_upper_bound
 from dcprox.psg import lyapunov_c, momentum_table, solve, tail_linear_fit
 from test_kernel import run_new, sweep_params
 
@@ -114,12 +117,11 @@ def test_solve_surfaces_nonfinite_iterates():
 @pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
 def test_solve_wraps_prox_failures(solver):
     # each oracle is called once per iteration, so its 4th call is in
-    # iteration 3
-    _, spec = make_problem()
+    # iteration 3; the message names the oracle that raised
+    inst, spec = make_problem()
     from dataclasses import replace
 
-    for oracle in ("prox_fC", "grad_h", "subgrad_g"):
-        good = getattr(spec, oracle)
+    def fails_at_4th_call(good):
         calls = [0]
 
         def bad(*args):
@@ -128,10 +130,31 @@ def test_solve_wraps_prox_failures(solver):
                 raise KeyError("boom")
             return good(*args)
 
-        broken = replace(spec, **{oracle: bad})
-        with pytest.raises(RuntimeError, match="^prox oracle failed at iteration 3$") as err:
-            run_new(broken, solver, sweep_params(spec, solver, 5, stop_rel_tol=0.0))
+        return bad
+
+    A = spec.map_A
+    broken = {
+        oracle: replace(spec, **{oracle: fails_at_4th_call(getattr(spec, oracle))})
+        for oracle in ("prox_fC", "grad_h", "subgrad_g")
+    }
+    broken["A* product"] = replace(spec, map_A=LinearMap(
+        A.apply, fails_at_4th_call(A.adjoint), A.dim_in, A.dim_out))
+    params = sweep_params(spec, solver, 5, stop_rel_tol=0.0)
+    for oracle, bad in broken.items():
+        with pytest.raises(RuntimeError, match=r"^%s failed at iteration 3$"
+                           % re.escape(oracle)) as err:
+            run_new(bad, solver, params)
         assert isinstance(err.value.__cause__, KeyError), oracle
+
+    # the column product of a screened problem is an A* product too
+    class FailingScreen(L1Screen):
+        def adjoint_columns(self, y, cols):
+            raise KeyError("boom")
+
+    screened = replace(spec, screen=FailingScreen(inst.gamma, A.matrix))
+    with pytest.raises(RuntimeError, match=r"^A\* product failed at iteration \d+$") as err:
+        run_new(screened, solver, sweep_params(spec, solver, 3000))
+    assert isinstance(err.value.__cause__, KeyError)
 
 
 @pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
