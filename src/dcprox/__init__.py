@@ -2,14 +2,13 @@
 composite problems, with sparse-recovery and power-flow case studies."""
 
 from .baselines import BaselineParams, gppa_solve, pdcae_solve
-from .linop import LinearMap, spectral_norm
+from .linop import LinearMap
 from .oracles import Loss, norm_subgradient, soft_threshold
 from .polyhedron import (
     InfeasiblePolyhedronError,
     PolyhedralSet,
     PolyhedronProjector,
     ProjectionError,
-    project,
 )
 from .problem import (
     IterateTrace,
@@ -22,10 +21,10 @@ from .psg import lyapunov_c, solve, tail_linear_fit
 
 __all__ = [
     "BaselineParams", "gppa_solve", "pdcae_solve",
-    "LinearMap", "spectral_norm",
+    "LinearMap",
     "Loss", "norm_subgradient", "soft_threshold",
     "InfeasiblePolyhedronError", "PolyhedralSet", "PolyhedronProjector",
-    "ProjectionError", "project",
+    "ProjectionError",
     "IterateTrace", "ProblemSpec", "SolveReport", "SolverParams",
     "tau_upper_bound",
     "lyapunov_c", "solve", "tail_linear_fit",

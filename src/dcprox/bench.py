@@ -20,10 +20,14 @@ OPF_MAX_ITER = 1000
 OPF_BASELINE_COST = 6.433
 
 
-def _check_solvers(solvers):
-    unknown = set(solvers) - set(SOLVERS)
+def _check_members(key, values, known):
+    """Reject an empty values, or one with items that known lacks."""
+    if not values:
+        raise ValueError("%s is empty: %r" % (key, values))
+    unknown = [v for v in values if v not in known]
     if unknown:
-        raise ValueError("unimplemented solvers: %s" % sorted(unknown))
+        raise ValueError("unimplemented %s: %s (known: %s)"
+                         % (key, unknown, sorted(known)))
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,9 @@ class SweepConfig:
     def __post_init__(self):
         if self.n_seeds < 1:
             raise ValueError("need at least one seed")
-        _check_solvers(self.solvers)
+        _check_members("cases", self.cases, cs.CASES)
+        _check_members("loss_kind", (self.loss_kind,), LOSS_DEFAULTS)
+        _check_members("solvers", self.solvers, SOLVERS)
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,7 @@ class OPFConfig:
     def __post_init__(self):
         if self.opf_starts < 1:
             raise ValueError("need at least one power-flow start")
-        _check_solvers(self.solvers)
+        _check_members("solvers", self.solvers, SOLVERS)
 
 
 @dataclass
@@ -309,14 +315,15 @@ def _check_projection(rng):
     d = 6
     G = rng.standard_normal((8, d))
     g = rng.uniform(0.5, 1.5, 8)
-    set_ = polyhedron.PolyhedralSet(d, G=G, g=g, lo=-np.ones(d), hi=np.ones(d))
+    proj = polyhedron.PolyhedronProjector(
+        polyhedron.PolyhedralSet(d, G=G, g=g, lo=-np.ones(d), hi=np.ones(d)))
     w = rng.standard_normal(d) * 3
-    p1 = polyhedron.project(set_, w)
-    p2 = polyhedron.project(set_, p1)
+    p1 = proj.project(w)
+    p2 = proj.project(p1)
     yield ("projection idempotent", np.linalg.norm(p2 - p1) <= 1e-7,
            "moved %.2e" % np.linalg.norm(p2 - p1))
     v = rng.standard_normal(d) * 3
-    q1 = polyhedron.project(set_, v)
+    q1 = proj.project(v)
     lhs = np.linalg.norm(p1 - q1)
     rhs = np.linalg.norm(w - v)
     yield ("projection nonexpansive", lhs <= rhs + 1e-7,
@@ -357,12 +364,8 @@ def _check_network(rng):
     yield ("relaxation gap arithmetic", abs(gap - 0.18) < 1e-12, "%.4f" % gap)
 
 
-def run_checks(extra_checks=None):
-    """Cross-module invariant suite; prints each check, returns the failures.
-
-    extra_checks, if given, is an iterable of (name, passed, detail)
-    triples appended to the matrix (used to surface injected failures).
-    """
+def run_checks():
+    """Cross-module invariant suite; prints each check, returns the failures."""
     rng = np.random.default_rng(0)
     results = []
     for suite in (_check_oracles, _check_solver_suite, _check_projection,
@@ -371,8 +374,6 @@ def run_checks(extra_checks=None):
             results.extend(suite(rng))
         except Exception as exc:
             results.append((suite.__name__, False, repr(exc)))
-    if extra_checks is not None:
-        results.extend(extra_checks)
     failures = 0
     for name, ok, detail in results:
         if not ok:

@@ -115,7 +115,7 @@ def build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--loss", default="least-squares",
-                   choices=("least-squares", "lorentzian"))
+                   choices=sorted(bench.LOSS_DEFAULTS))
     p.set_defaults(func=cmd_gen)
     return parser
 

@@ -1,32 +1,30 @@
 """Linear-map abstraction and spectral-norm bounds."""
 
+from dataclasses import dataclass
+from typing import Callable, Optional
+
 import numpy as np
 
 
+@dataclass(frozen=True, eq=False)
 class LinearMap:
     """A linear map together with its adjoint and dimensions.
 
     `apply` maps input vectors of length `dim_in` to output vectors of
-    length `dim_out`; `adjoint` is the transpose map.  Instances are
-    immutable and safe to share across solver runs.  `matrix` is the
-    stored column-major array of a map made by from_matrix, None otherwise.
+    length `dim_out`; `adjoint` is the transpose map.  A map is a frozen
+    record, safe to share across solver runs.  `matrix` is the stored
+    column-major array of a map made by from_matrix, None otherwise.
     """
 
-    matrix = None
+    apply: Callable[[np.ndarray], np.ndarray]
+    adjoint: Callable[[np.ndarray], np.ndarray]
+    dim_in: int
+    dim_out: int
+    matrix: Optional[np.ndarray] = None
 
-    def __init__(self, apply, adjoint, dim_in, dim_out):
-        self._apply = apply
-        self._adjoint = adjoint
-        self.dim_in = int(dim_in)
-        self.dim_out = int(dim_out)
+    def __post_init__(self):
         if self.dim_in <= 0 or self.dim_out <= 0:
             raise ValueError("map dimensions must be positive")
-
-    def apply(self, x):
-        return self._apply(x)
-
-    def adjoint(self, y):
-        return self._adjoint(y)
 
     def dense(self):
         """The dim_out x dim_in matrix of the map.
@@ -61,9 +59,7 @@ class LinearMap:
                 return A[:, S] @ x[S]
             return A @ x
 
-        out = cls(apply, lambda y: A.T @ y, d, A.shape[0])
-        out.matrix = A
-        return out
+        return cls(apply, lambda y: A.T @ y, d, A.shape[0], A)
 
     @classmethod
     def identity(cls, dim):

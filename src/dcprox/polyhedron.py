@@ -74,7 +74,7 @@ class PolyhedronProjector:
     Stateless after construction, so instances are safe to share across
     solver runs.  The active-set steps of one projection are capped at ten
     times the number of reduced rows plus the reduced dimension, or at the
-    max_iter given to project.
+    max_iter (at least 1) given to project.
     """
 
     def __init__(self, set_, tol=1e-8):
@@ -99,9 +99,8 @@ class PolyhedronProjector:
         # below the error of Z itself, relative to the row's own norm.
         zero_tol = d * eps
         if len(set_.e):
-            scale = np.maximum(np.linalg.norm(set_.E, axis=1), 1e-300)
-            E = set_.E / scale[:, None]
-            e = set_.e / scale
+            E = set_.E / set_._E_scale[:, None]
+            e = set_.e / set_._E_scale
             U, s, Vt = np.linalg.svd(E, full_matrices=True)
             rank = int(np.sum(s > max(E.shape) * eps * s[0]))
             x_p = Vt[:rank].T @ ((U.T[:rank] @ e) / s[:rank])
@@ -121,11 +120,11 @@ class PolyhedronProjector:
         R = np.vstack([set_.G @ Z, Z[fin_hi], -Z[fin_lo]])
         r = np.concatenate([set_.g - set_.G @ x_p, set_.hi[fin_hi] - x_p[fin_hi],
                             x_p[fin_lo] - set_.lo[fin_lo]])
-        orig_norm = np.concatenate([np.linalg.norm(set_.G, axis=1),
+        orig_norm = np.concatenate([set_._G_scale,
                                     np.ones(fin_hi.sum() + fin_lo.sum())])
         norm = np.linalg.norm(R, axis=1)
         zero = norm <= zero_tol * orig_norm
-        slack = r[zero] / np.maximum(orig_norm[zero], 1e-300)
+        slack = r[zero] / orig_norm[zero]
         if np.any(slack < -self.tol):
             raise InfeasiblePolyhedronError(
                 "an inequality or box row contradicts the equality constraints",
@@ -144,8 +143,10 @@ class PolyhedronProjector:
         tolerance, and InfeasiblePolyhedronError when the inequalities
         admit no common point.
         """
+        maxit = 10 * sum(self._R.shape) if max_iter is None else max_iter
+        if maxit < 1:
+            raise ValueError("max_iter must be at least 1, got %r" % (max_iter,))
         w = np.asarray(w, dtype=float)
-        maxit = max_iter or 10 * sum(self._R.shape)
         y, status = self._active_set(self._Z.T @ (w - self._x_p), maxit)
         x = self._x_p + self._Z @ y
         res = self.set.residual(x)
@@ -255,8 +256,3 @@ class PolyhedronProjector:
                 k -= 1
                 Bk = B[:, :k]
                 Bk -= np.outer(b_l, (b_l @ Bk) / (b_l @ b_l))
-
-
-def project(set_, w, tol=1e-8):
-    """One-shot projection of w onto a PolyhedralSet."""
-    return PolyhedronProjector(set_, tol=tol).project(w)

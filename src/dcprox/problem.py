@@ -132,9 +132,6 @@ class IterateTrace:
     lyapunov: list
     iterates: Optional[list] = None
 
-    def __len__(self):
-        return len(self.objective)
-
 
 @dataclass
 class SolveReport:

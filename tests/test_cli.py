@@ -84,6 +84,34 @@ def test_config_rejects_unknown_solver():
             cls(solvers=("admm",))
 
 
+def test_config_rejects_unknown_loss_kind():
+    with pytest.raises(ValueError, match=r"loss_kind: \['lorentz'\]"):
+        bench.SweepConfig(loss_kind="lorentz")
+
+
+def test_config_rejects_unknown_case_id():
+    with pytest.raises(ValueError, match=r"cases: \[9\]"):
+        cli.config_from_dict(bench.SweepConfig, {"cases": "1, 9"})
+
+
+@pytest.mark.parametrize("cls, key", [
+    (bench.SweepConfig, "cases"),
+    (bench.SweepConfig, "solvers"),
+    (bench.OPFConfig, "solvers"),
+])
+def test_config_rejects_empty_lists(cls, key):
+    # "key =" in a config file gives the empty tuple
+    with pytest.raises(ValueError, match=r"%s is empty: \(\)" % key):
+        cli.config_from_dict(cls, {key: ""})
+
+
+def test_cli_cs_run_fails_at_config_load(tmp_path):
+    p = tmp_path / "cfg.txt"
+    p.write_text("cases = 1\nloss_kind = lorentz\n")
+    with pytest.raises(ValueError, match="unimplemented loss_kind"):
+        cli.main(["cs-run", "--config", str(p)])
+
+
 def test_config_rejects_zero_seeds():
     with pytest.raises(ValueError):
         bench.SweepConfig(n_seeds=0)
@@ -172,9 +200,12 @@ def test_cli_check_exit_code(capsys):
                for r in rows)
 
 
-def test_run_checks_surfaces_injected_failure(capsys):
-    failures = bench.run_checks(
-        extra_checks=[("injected breaker", False, "on purpose")])
+def test_run_checks_surfaces_injected_failure(monkeypatch, capsys):
+    def failing_suite(rng):
+        yield ("injected breaker", False, "on purpose")
+
+    monkeypatch.setattr(bench, "_check_oracles", failing_suite)
+    failures = bench.run_checks()
     out = capsys.readouterr().out
     assert failures == 1
     assert "injected breaker" in out and "FAIL" in out

@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 import legacy_solvers
-from dcprox import cs, psg
+from dcprox import bench, cs, psg
 from dcprox.baselines import BaselineParams, gppa_solve, pdcae_solve
 from dcprox.linop import LinearMap, gram_spectrum
 from dcprox.problem import L1Screen, SolverParams, tau_upper_bound
 from dcprox.psg import solve
-
-#: per-loss (gamma, max_iter) of the sweeps
-LOSS_DEFAULTS = {"least-squares": (0.1, 3000), "lorentzian": (0.001, 4000)}
 
 
 def sweep_params(spec, solver, max_iter, stop_rel_tol=1e-8, keep_iterates=True):
@@ -78,7 +75,7 @@ def run_legacy(spec, solver, params):
 @pytest.mark.parametrize("loss", ["least-squares", "lorentzian"])
 @pytest.mark.parametrize("case", [1, 5])
 def test_kernel_matches_legacy_loops(case, loss, seed):
-    gamma, max_iter = LOSS_DEFAULTS[loss]
+    gamma, max_iter = bench.LOSS_DEFAULTS[loss]
     spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, loss))
     for solver in ("proposed", "gppa", "pdcae"):
         params = sweep_params(spec, solver, max_iter)
@@ -112,52 +109,55 @@ def test_momentum_table_matches_per_iteration_schedule(solver, restart_period):
     assert_iterates_match(new, trace, solver)
 
 
-class CountingMap(LinearMap):
-    """A LinearMap that counts its apply and adjoint calls."""
+def counting(map_):
+    """A LinearMap wrapping map_'s products, and the dict of their call
+    counts, which the wrappers keep up to date."""
+    counts = {"apply": 0, "adjoint": 0}
 
-    def __init__(self, map_):
-        super().__init__(map_.apply, map_.adjoint, map_.dim_in, map_.dim_out)
-        self.counts = {"apply": 0, "adjoint": 0}
+    def counted(name):
+        product = getattr(map_, name)
 
-    def apply(self, x):
-        self.counts["apply"] += 1
-        return super().apply(x)
+        def wrapper(v):
+            counts[name] += 1
+            return product(v)
+        return wrapper
 
-    def adjoint(self, y):
-        self.counts["adjoint"] += 1
-        return super().adjoint(y)
+    return (LinearMap(counted("apply"), counted("adjoint"), map_.dim_in,
+                      map_.dim_out), counts)
 
 
 @pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
 def test_one_apply_and_one_adjoint_per_iteration(solver):
     inst = cs.make_instance(("gaussian", 40, 120, 6), 3, 0.1, "least-squares")
     spec = cs.build_cs_problem(inst)
-    spec = dataclasses.replace(spec, map_A=CountingMap(spec.map_A))
+    map_A, counts = counting(spec.map_A)
+    spec = dataclasses.replace(spec, map_A=map_A)
     rep = run_new(spec, solver, sweep_params(spec, solver, 50, stop_rel_tol=0.0))
     assert rep.iterations == 50
-    assert spec.map_A.counts == {"apply": 1 + 50, "adjoint": 50}
+    assert counts == {"apply": 1 + 50, "adjoint": 50}
 
 
 @pytest.mark.parametrize("case", [7, 8])
 def test_large_dct_cases_smoke(case):
-    gamma, _ = LOSS_DEFAULTS["least-squares"]
+    gamma, _ = bench.LOSS_DEFAULTS["least-squares"]
     spec = cs.build_cs_problem(cs.make_instance(case, 0, gamma, "least-squares"))
     f0 = spec.objective(np.zeros(spec.map_A.dim_in))
     for solver in ("proposed", "gppa", "pdcae"):
-        counted = dataclasses.replace(spec, map_A=CountingMap(spec.map_A))
+        map_A, counts = counting(spec.map_A)
+        counted = dataclasses.replace(spec, map_A=map_A)
         params = sweep_params(counted, solver, 30, stop_rel_tol=0.0)
         rep = run_new(counted, solver, params)
         assert rep.iterations == 30
         assert np.all(np.isfinite(rep.x))
         assert rep.objective <= f0
-        assert counted.map_A.counts == {"apply": 1 + 30, "adjoint": 30}
+        assert counts == {"apply": 1 + 30, "adjoint": 30}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("loss", ["least-squares", "lorentzian"])
 @pytest.mark.parametrize("case", [5, 6])
 def test_dct_map_solves_like_its_matrix(case, loss, seed):
-    gamma, max_iter = LOSS_DEFAULTS[loss]
+    gamma, max_iter = bench.LOSS_DEFAULTS[loss]
     spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, loss))
     dense = dataclasses.replace(
         spec, map_A=LinearMap.from_matrix(spec.map_A.dense()))
@@ -171,7 +171,7 @@ def test_dct_map_solves_like_its_matrix(case, loss, seed):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("case", [1, 2])
 def test_support_products_solve_like_full_products(case, seed):
-    gamma, max_iter = LOSS_DEFAULTS["least-squares"]
+    gamma, max_iter = bench.LOSS_DEFAULTS["least-squares"]
     spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, "least-squares"))
     A = spec.map_A.dense()
     full = dataclasses.replace(spec, map_A=LinearMap(
@@ -298,7 +298,7 @@ def skipped_margins(spec, solver, max_iter=3000):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("case", [2, 3])
 def test_skipped_coordinates_are_zeroed_by_the_full_product(case, seed):
-    gamma, _ = LOSS_DEFAULTS["least-squares"]
+    gamma, _ = bench.LOSS_DEFAULTS["least-squares"]
     spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, "least-squares"))
     assert spec.screen is not None
     for solver in ("proposed", "gppa", "pdcae"):
@@ -352,7 +352,7 @@ def test_skipped_coordinates_just_under_the_threshold():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("case", [2, 3])
 def test_screened_solves_match_unscreened(case, seed):
-    gamma, max_iter = LOSS_DEFAULTS["least-squares"]
+    gamma, max_iter = bench.LOSS_DEFAULTS["least-squares"]
     spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, "least-squares"))
     assert spec.screen is not None
     full = dataclasses.replace(spec, screen=None)
@@ -367,13 +367,14 @@ def test_screened_solves_match_unscreened(case, seed):
 @pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
 def test_screened_iteration_makes_one_apply_and_one_adjoint_product(solver):
     spec = recording(cs.build_cs_problem(cs.make_instance(2, 3, 0.1, "least-squares")))
-    spec = dataclasses.replace(spec, map_A=CountingMap(spec.map_A))
+    map_A, counts = counting(spec.map_A)
+    spec = dataclasses.replace(spec, map_A=map_A)
     # the column path starts after 39-81 iterations on this instance
     rep = run_new(spec, solver, sweep_params(spec, solver, 120, stop_rel_tol=0.0))
     assert rep.iterations == 120
     columns = len(spec.screen.calls)
     assert columns > 0
-    assert spec.map_A.counts == {"apply": 1 + 120, "adjoint": 120 - columns}
+    assert counts == {"apply": 1 + 120, "adjoint": 120 - columns}
     # at most one column product per iteration
     assert len({n for n, _, _ in spec.screen.calls}) == columns
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,25 @@ def test_dense_returns_the_matrix():
     assert stored.flags.f_contiguous and np.array_equal(stored, A)
     free = LinearMap(lambda x: A @ x, lambda y: A.T @ y, 3, 2)
     assert np.array_equal(free.dense(), A)
+
+
+def test_map_is_a_frozen_record():
+    A = np.arange(6.0).reshape(2, 3)
+    free = LinearMap(lambda x: A @ x, lambda y: A.T @ y, 3, 2)
+    assert free.matrix is None
+    stored = LinearMap.from_matrix(A)
+    assert stored.matrix.flags.f_contiguous and np.array_equal(stored.matrix, A)
+    for field in ("apply", "adjoint", "dim_in", "dim_out", "matrix"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(stored, field, None)
+    # replace swaps one product and keeps the other fields
+    wrapped = dataclasses.replace(stored, apply=free.apply)
+    assert wrapped.matrix is stored.matrix and wrapped.adjoint is stored.adjoint
+
+
+def test_map_rejects_empty_dimensions():
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        LinearMap(lambda x: x, lambda y: y, 0, 2)
 
 
 def support_cases(d, rng):

@@ -7,7 +7,6 @@ from dcprox.polyhedron import (
     PolyhedralSet,
     PolyhedronProjector,
     ProjectionError,
-    project,
 )
 
 
@@ -31,13 +30,14 @@ def test_residual_and_contains():
 def test_interior_point_is_fixed():
     set_ = PolyhedralSet(3, lo=-np.ones(3), hi=np.ones(3))
     w = np.array([0.2, -0.3, 0.9])
-    assert np.allclose(project(set_, w), w)
+    assert np.allclose(PolyhedronProjector(set_).project(w), w)
 
 
 def test_box_projection_is_clip():
     set_ = PolyhedralSet(3, lo=-np.ones(3), hi=np.ones(3))
     w = np.array([5.0, -2.0, 0.1])
-    assert np.allclose(project(set_, w), [1.0, -1.0, 0.1], atol=1e-10)
+    assert np.allclose(PolyhedronProjector(set_).project(w), [1.0, -1.0, 0.1],
+                       atol=1e-10)
 
 
 def test_affine_projection_exact():
@@ -45,7 +45,7 @@ def test_affine_projection_exact():
     set_ = PolyhedralSet(4, E=np.ones((1, 4)), e=np.array([1.0]))
     w = np.array([1.0, 2.0, 3.0, 4.0])
     want = w - (w.sum() - 1.0) / 4.0
-    assert np.allclose(project(set_, w), want, atol=1e-12)
+    assert np.allclose(PolyhedronProjector(set_).project(w), want, atol=1e-12)
 
 
 def test_matches_combinatorial_oracle():
@@ -53,7 +53,7 @@ def test_matches_combinatorial_oracle():
     for _ in range(40):
         set_ = random_polytope(rng)
         w = rng.standard_normal(set_.dim) * 2.0
-        got = project(set_, w, tol=1e-8)
+        got = PolyhedronProjector(set_, tol=1e-8).project(w)
         want = combinatorial_projection(set_, w)
         assert want is not None
         assert np.linalg.norm(got - want) <= 1e-6
@@ -76,7 +76,7 @@ def test_projection_with_equalities_certifies():
     E = rng.standard_normal((3, 7))
     e = rng.standard_normal(3) * 0.1
     set_ = PolyhedralSet(7, E=E, e=e, lo=-np.ones(7), hi=np.ones(7))
-    x = project(set_, rng.standard_normal(7))
+    x = PolyhedronProjector(set_).project(rng.standard_normal(7))
     assert set_.residual(x) <= 1e-8
 
 
@@ -146,7 +146,7 @@ def test_box_excluding_fixed_value_raises():
     # The equalities force x_0 = 2, outside its box [-1, 1].
     set_ = fixed_coordinate_set(rng, 4, np.array([2.0, 0.0]))
     with pytest.raises(InfeasiblePolyhedronError):
-        project(set_, np.zeros(4))
+        PolyhedronProjector(set_).project(np.zeros(4))
 
 
 def test_max_iter_cap_reports_last_point():
@@ -168,3 +168,11 @@ def test_shared_projector_keeps_no_state():
     for w in list(points) + list(points[::-1]):
         fresh = PolyhedronProjector(set_, tol=1e-9).project(w)
         assert np.array_equal(shared.project(w), fresh)
+
+
+def test_max_iter_below_one_is_rejected():
+    proj = PolyhedronProjector(PolyhedralSet(3, lo=-np.ones(3), hi=np.ones(3)))
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            proj.project(np.full(3, 5.0), max_iter=bad)
+    assert np.allclose(proj.project(np.full(3, 5.0), max_iter=None), np.ones(3))

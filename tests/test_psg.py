@@ -93,7 +93,7 @@ def test_solve_descends_and_converges():
     assert rep.max_lyapunov_violation <= 1e-10 * (1 + abs(spec.objective(np.zeros(inst.d))))
     assert rep.objective < spec.objective(np.zeros(inst.d))
     # trace invariants
-    assert len(rep.trace) == rep.iterations + 1
+    assert len(rep.trace.objective) == rep.iterations + 1
 
 
 def test_solve_rejects_infeasible_start():
