@@ -14,10 +14,8 @@ SOLVERS = ("gppa", "pdcae", "proposed")
 #: (gamma, max_iter) of every sweep solve of a loss; the solvers run with the
 #: defaults of SolverParams and BaselineParams
 LOSS_DEFAULTS = {"least-squares": (0.1, 3000), "lorentzian": (0.001, 4000)}
-#: iteration cap of every OPF solve, and the no-PV cost (in cost units)
-#: that the plan report measures its reduction against
+#: iteration cap of every OPF solve
 OPF_MAX_ITER = 1000
-OPF_BASELINE_COST = 6.433
 
 
 def _check_members(key, values, known):
@@ -44,6 +42,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.n_seeds < 1:
             raise ValueError("need at least one seed")
+        if self.base_seed < 0:
+            raise ValueError("base_seed is negative: %r" % (self.base_seed,))
         _check_members("cases", self.cases, cs.CASES)
         _check_members("loss_kind", (self.loss_kind,), LOSS_DEFAULTS)
         _check_members("solvers", self.solvers, SOLVERS)
@@ -61,6 +61,8 @@ class OPFConfig:
     def __post_init__(self):
         if self.opf_starts < 1:
             raise ValueError("need at least one power-flow start")
+        if self.base_seed < 0:
+            raise ValueError("base_seed is negative: %r" % (self.base_seed,))
         _check_members("solvers", self.solvers, SOLVERS)
 
 
@@ -154,7 +156,8 @@ def run_cs_sweep(cfg):
             )
             rows.append(row)
     if cfg.out_csv:
-        write_results_csv(rows, cfg.out_csv)
+        with open(cfg.out_csv, "w", newline="") as fh:
+            fh.write(results_csv_text(rows))
     return SweepResult(rows=rows, runs=runs)
 
 
@@ -178,11 +181,6 @@ def results_csv_text(rows):
             "%.17g" % row["max_lyapunov_violation"],
         ])
     return buf.getvalue()
-
-
-def write_results_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(results_csv_text(rows))
 
 
 @dataclass
@@ -245,8 +243,7 @@ def run_opf(cfg, net=None):
         _, rate_r2, _ = psg.tail_linear_fit(diag.trace.step_norms[1:])
     report = None
     if best_x is not None:
-        report = opf.postprocess_solution(best_x, net, lay,
-                                          baseline_cost=OPF_BASELINE_COST)
+        report = opf.postprocess_solution(best_x, net, lay)
     result = OPFResult(
         best_report=report, best_x=best_x, stats=stats, starts=starts,
         rate_r2=rate_r2,

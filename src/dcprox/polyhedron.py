@@ -73,8 +73,7 @@ class PolyhedronProjector:
 
     Stateless after construction, so instances are safe to share across
     solver runs.  The active-set steps of one projection are capped at ten
-    times the number of reduced rows plus the reduced dimension, or at the
-    max_iter (at least 1) given to project.
+    times the number of reduced rows plus the reduced dimension.
     """
 
     def __init__(self, set_, tol=1e-8):
@@ -135,17 +134,15 @@ class PolyhedronProjector:
         self._R = R[keep] / norm[keep, None]
         self._r = r[keep] / norm[keep]
 
-    def project(self, w, max_iter=None):
+    def project(self, w):
         """Projection of w onto the set, certified to the residual tolerance.
 
         Raises ProjectionError (with the last point and its residual) when
-        the active-set steps reach max_iter or the result misses the
+        the active-set steps reach the cap or the result misses the
         tolerance, and InfeasiblePolyhedronError when the inequalities
         admit no common point.
         """
-        maxit = 10 * sum(self._R.shape) if max_iter is None else max_iter
-        if maxit < 1:
-            raise ValueError("max_iter must be at least 1, got %r" % (max_iter,))
+        maxit = 10 * sum(self._R.shape)
         w = np.asarray(w, dtype=float)
         y, status = self._active_set(self._Z.T @ (w - self._x_p), maxit)
         x = self._x_p + self._Z @ y
@@ -156,7 +153,7 @@ class PolyhedronProjector:
             )
         if status == "max_iter":
             raise ProjectionError(
-                "active-set method stopped after max_iter=%d steps "
+                "active-set method stopped at its cap of %d steps "
                 "(residual %.3e)" % (maxit, res),
                 res,
                 x,

@@ -1,0 +1,120 @@
+"""Equivalence fingerprint of the package's outputs, for A/B checks of a change.
+
+Not a pytest module: run it against each checkout and compare the outputs
+byte for byte,
+
+    PYTHONPATH=<parent>/src python tests/equivalence.py > parent.json
+    PYTHONPATH=<change>/src python tests/equivalence.py > change.json
+    cmp parent.json change.json
+
+It prints one JSON document of hex floats and SHA-256 hashes:
+  - the sweep CSVs of least-squares cases 1/2/5/6 and Lorentzian cases 1/5,
+    3 seeds, without the nondeterministic wall-time column;
+  - the 30-start run_opf: each start's objective, iterations and Lyapunov
+    violation, a hash of best_x, the placement, rate_r2 and the plan JSON;
+  - the stdout of `dcprox check`;
+  - status, iterations, objective and hashes of x and of the trace of every
+    solve of least-squares cases 1/2/3/5/6 and Lorentzian cases 1/5, seeds
+    0-3, with each of the three solvers.
+It uses only bench.SweepConfig, bench.OPFConfig, bench.run_cs_sweep,
+bench.results_csv_text, bench.run_opf, bench._solve_cell, cs.make_instance,
+cs.build_cs_problem and cli.main, so it runs unchanged on both sides of a
+change that keeps those.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+
+import numpy as np
+
+from dcprox import bench, cli, cs
+
+SWEEPS = {"least-squares": (1, 2, 5, 6), "lorentzian": (1, 5)}
+SWEEP_SEEDS = 3
+SOLVES = {"least-squares": (1, 2, 3, 5, 6), "lorentzian": (1, 5)}
+SOLVE_SEEDS = range(4)
+WALL_TIME_COLUMN = bench.CSV_COLUMNS.index("mean_wall_time (nondeterministic)")
+
+
+def array_digest(values):
+    data = np.ascontiguousarray(values, dtype=float).tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def sweep_csvs():
+    out = {}
+    for loss_kind, cases in SWEEPS.items():
+        cfg = bench.SweepConfig(cases=cases, loss_kind=loss_kind,
+                                n_seeds=SWEEP_SEEDS)
+        text = bench.results_csv_text(bench.run_cs_sweep(cfg).rows)
+        out[loss_kind] = [
+            ",".join(c for k, c in enumerate(line.split(","))
+                     if k != WALL_TIME_COLUMN)
+            for line in text.splitlines()
+        ]
+    return out
+
+
+def opf_run():
+    result = bench.run_opf(bench.OPFConfig(opf_starts=30))
+    return {
+        "starts": [
+            [s["solver"], s["start"], float(s["objective"]).hex(),
+             s["iterations"], float(s["lyapunov_violation"]).hex()]
+            for s in result.starts
+        ],
+        "best_x": array_digest(result.best_x),
+        "placement": list(result.best_report.placement),
+        "rate_r2": float(result.rate_r2).hex(),
+        "plan_json": result.best_report.to_json(indent=2),
+    }
+
+
+def check_stdout():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(["check"])
+    return {"exit": rc, "stdout": buf.getvalue().splitlines()}
+
+
+def solves():
+    out = []
+    for loss_kind, cases in SOLVES.items():
+        gamma, max_iter = bench.LOSS_DEFAULTS[loss_kind]
+        for case in cases:
+            for seed in SOLVE_SEEDS:
+                inst = cs.make_instance(case, seed, gamma, loss_kind)
+                spec = cs.build_cs_problem(inst)
+                x0 = np.zeros(inst.d)
+                for solver in bench.SOLVERS:
+                    rep = bench._solve_cell(spec, x0, solver, max_iter)
+                    trace = rep.trace
+                    steps = np.concatenate([trace.objective, trace.step_norms,
+                                            trace.lyapunov])
+                    out.append({
+                        "cell": [loss_kind, case, seed, solver],
+                        "status": rep.status,
+                        "iterations": rep.iterations,
+                        "objective": float(rep.objective).hex(),
+                        "x": array_digest(rep.x),
+                        "trace": array_digest(steps),
+                    })
+    return out
+
+
+def main():
+    doc = {
+        "sweep_csvs": sweep_csvs(),
+        "opf_run": opf_run(),
+        "check": check_stdout(),
+        "solves": solves(),
+    }
+    json.dump(doc, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -112,6 +113,31 @@ def test_cli_cs_run_fails_at_config_load(tmp_path):
         cli.main(["cs-run", "--config", str(p)])
 
 
+@pytest.mark.parametrize("cls, key, value", [
+    (bench.SweepConfig, "cases", "1, x"),
+    (bench.SweepConfig, "loss_kind", "lorentz"),
+    (bench.SweepConfig, "solvers", "newton"),
+    (bench.SweepConfig, "n_seeds", "two"),
+    (bench.SweepConfig, "base_seed", "1.5"),
+    (bench.OPFConfig, "solvers", "gppa, newton"),
+    (bench.OPFConfig, "base_seed", "zero"),
+    (bench.OPFConfig, "opf_starts", "-3x"),
+])
+def test_config_bad_value_names_its_key(cls, key, value):
+    # every field but the output path, which takes any string
+    with pytest.raises(ValueError) as err:
+        cli.config_from_dict(cls, {key: value})
+    # the message names the key and the item that fails
+    assert key in str(err.value)
+    assert value.split(", ")[-1] in str(err.value)
+
+
+@pytest.mark.parametrize("cls", [bench.SweepConfig, bench.OPFConfig])
+def test_config_rejects_negative_base_seed(cls):
+    with pytest.raises(ValueError, match="base_seed is negative: -1"):
+        cli.config_from_dict(cls, {"base_seed": "-1"})
+
+
 def test_config_rejects_zero_seeds():
     with pytest.raises(ValueError):
         bench.SweepConfig(n_seeds=0)
@@ -186,9 +212,14 @@ def test_cli_gen_round_trip(tmp_path, capsys):
     out_dir = tmp_path / "inst"
     rc = cli.main(["gen", "--case", "1", "--seed", "3", "--out", str(out_dir)])
     assert rc == 0
-    inst = cs.load_instance(out_dir)
     ref = cs.make_instance(1, 3, 0.1, "least-squares")
-    assert np.array_equal(inst.A.dense(), ref.A.dense())
+    matrix = np.loadtxt(out_dir / "matrix.csv", delimiter=",", ndmin=2)
+    assert np.array_equal(matrix, ref.A.dense())
+    assert np.array_equal(np.loadtxt(out_dir / "b.csv", delimiter=","), ref.b)
+    with open(out_dir / "meta.csv", newline="") as fh:
+        meta = {k: json.loads(v) for k, v in list(csv.reader(fh))[1:]}
+    assert (meta["seed"], meta["m"], meta["d"]) == (3, 180, 640)
+    assert meta["loss_kind"] == "least-squares"
 
 
 def test_cli_check_exit_code(capsys):

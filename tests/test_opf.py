@@ -203,7 +203,7 @@ def test_solver_reaches_good_binary_plan(built, net):
     assert opf.binary_relaxation_gap(rep.x, lay) <= 1e-6
     f0 = spec.objective(x0)
     assert rep.max_lyapunov_violation <= 1e-6 * (1 + abs(f0))
-    report = opf.postprocess_solution(rep.x, net, lay, baseline_cost=6.433)
+    report = opf.postprocess_solution(rep.x, net, lay)
     assert not report.fractional
     assert len(report.placement) == 2
     assert report.penetration >= 0.5 - 1e-9
@@ -217,6 +217,9 @@ def test_postprocess_empty_and_fractional(net):
     assert report.placement == ()
     assert not report.fractional
     assert report.objective == pytest.approx(0.433)
+    assert report.baseline_cost_units == opf.BASELINE_COST
+    assert report.cost_reduction == pytest.approx(
+        1 - 0.433 / opf.BASELINE_COST)
     x[lay.x_bin.start] = 0.4
     report = opf.postprocess_solution(x, net, lay)
     assert report.fractional
@@ -225,8 +228,7 @@ def test_postprocess_empty_and_fractional(net):
 
 def test_plan_report_serialization(net):
     lay = opf.DCOPFLayout()
-    report = opf.postprocess_solution(np.zeros(lay.dim), net, lay,
-                                      baseline_cost=6.433)
+    report = opf.postprocess_solution(np.zeros(lay.dim), net, lay)
     data = json.loads(report.to_json())
     assert data["placement"] == []
     assert data["total_cost_dollars"] == pytest.approx(0.433 * 1_040_000)

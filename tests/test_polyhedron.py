@@ -149,14 +149,20 @@ def test_box_excluding_fixed_value_raises():
         PolyhedronProjector(set_).project(np.zeros(4))
 
 
-def test_max_iter_cap_reports_last_point():
+def test_max_iter_cap_reports_last_point(monkeypatch):
     set_ = PolyhedralSet(3, lo=-np.ones(3), hi=np.ones(3))
     proj = PolyhedronProjector(set_, tol=1e-9)
     w = np.array([5.0, -4.0, 3.0])  # three active bounds: three steps
+    y, status = proj._active_set(proj._Z.T @ (w - proj._x_p), 2)
+    assert status == "max_iter"
+    capped = proj._active_set
+    monkeypatch.setattr(proj, "_active_set",
+                        lambda w_reduced, max_steps: capped(w_reduced, 2))
     with pytest.raises(ProjectionError) as err:
-        proj.project(w, max_iter=2)
-    assert err.value.best_x.shape == (3,)
+        proj.project(w)
+    assert np.array_equal(err.value.best_x, proj._x_p + proj._Z @ y)
     assert err.value.residual == set_.residual(err.value.best_x) > proj.tol
+    monkeypatch.undo()
     assert np.allclose(proj.project(w), [1.0, -1.0, 1.0], atol=1e-12)
 
 
@@ -169,10 +175,3 @@ def test_shared_projector_keeps_no_state():
         fresh = PolyhedronProjector(set_, tol=1e-9).project(w)
         assert np.array_equal(shared.project(w), fresh)
 
-
-def test_max_iter_below_one_is_rejected():
-    proj = PolyhedronProjector(PolyhedralSet(3, lo=-np.ones(3), hi=np.ones(3)))
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            proj.project(np.full(3, 5.0), max_iter=bad)
-    assert np.allclose(proj.project(np.full(3, 5.0), max_iter=None), np.ones(3))
