@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +65,19 @@ class OPFConfig:
         if self.base_seed < 0:
             raise ValueError("base_seed is negative: %r" % (self.base_seed,))
         _check_members("solvers", self.solvers, SOLVERS)
+        if self.out_json and "proposed" not in self.solvers:
+            raise ValueError("out_json needs 'proposed' in solvers")
 
 
 @dataclass
 class RunRecord:
-    """Outcome of one (case, seed, solver) cell."""
+    """Outcome of one solve: a (case, seed, solver) sweep cell, or start
+    `start` of an OPF run, recorded with case "opf" and its base seed."""
 
     case: object
     seed: int
     solver: str
+    start: int = 0
     iterations: int = 0
     error: float = float("nan")
     objective: float = float("nan")
@@ -95,31 +100,56 @@ def _solve_cell(spec, x0, solver, max_iter):
     return baselines.pdcae_solve(spec, x0, params)
 
 
+def _failure(exc):
+    cause = exc.__cause__
+    return repr(exc) if cause is None else "%r from %r" % (exc, cause)
+
+
+def _run(rec, spec, x0, max_iter, x_g=None):
+    """Solve rec's cell from x0, fill rec (error only with x_g) and return
+    the report; or store a raised exception in rec.failure, returning None."""
+    try:
+        rep = _solve_cell(spec, x0, rec.solver, max_iter)
+        if x_g is not None:
+            rec.error = cs.ground_truth_error(rep.x, x_g)
+    except Exception as exc:
+        rec.failure = _failure(exc)
+        return None
+    rec.iterations, rec.objective, rec.wall_time, rec.status = (
+        rep.iterations, rep.objective, rep.wall_time, rep.status)
+    rec.lyapunov_violation = rep.max_lyapunov_violation
+    return rep
+
+
+def _summary(records):
+    """One solver's run and failure counts; over the runs that did not fail,
+    the means, best objective and (proposed) worst Lyapunov violation."""
+    good = [r for r in records if not r.failure]
+    out = {"n_runs": len(records), "n_errors": len(records) - len(good)}
+    nan = float("nan")
+    for key in ("iterations", "error", "objective", "wall_time"):
+        out["mean_" + key] = (
+            float(np.mean([getattr(r, key) for r in good])) if good else nan)
+    out["best_objective"] = (
+        float(np.min([r.objective for r in good])) if good else nan)
+    out["max_lyapunov_violation"] = (
+        float(np.max([r.lyapunov_violation for r in good]))
+        if good and good[0].solver == "proposed" else nan)
+    return out
+
+
 def _run_instance(case, seed, cfg):
     gamma, max_iter = LOSS_DEFAULTS[cfg.loss_kind]
-    records = []
     try:
         inst = cs.make_instance(case, seed, gamma, cfg.loss_kind)
         spec = cs.build_cs_problem(inst)
     except Exception as exc:
-        return [
-            RunRecord(case, seed, s, failure=repr(exc)) for s in cfg.solvers
-        ]
+        return [RunRecord(case, seed, s, failure=_failure(exc))
+                for s in cfg.solvers]
+    records = [RunRecord(case, seed, s) for s in cfg.solvers]
     x0 = np.zeros(inst.d)
-    for solver in cfg.solvers:
-        rec = RunRecord(case, seed, solver)
-        try:
-            rep = _solve_cell(spec, x0, solver, max_iter)
-            rec.iterations = rep.iterations
-            rec.error = cs.ground_truth_error(rep.x, inst.x_g)
-            rec.objective = rep.objective
-            rec.wall_time = rep.wall_time
-            rec.status = rep.status
-            if solver == "proposed":
-                rec.lyapunov_violation = rep.max_lyapunov_violation
-        except Exception as exc:
-            rec.failure = repr(exc)
-        records.append(rec)
+    for rec in records:
+        _run(rec, spec, x0, max_iter, inst.x_g)
     return records
 
 
@@ -131,33 +161,16 @@ class SweepResult:
 
 def run_cs_sweep(cfg):
     """Sweep solver x case over seeds; errors are recorded, not raised."""
-    runs = [rec for case in cfg.cases for k in range(cfg.n_seeds)
-            for rec in _run_instance(case, cfg.base_seed + k, cfg)]
-
-    rows = []
-    for case in cfg.cases:
-        for solver in cfg.solvers:
-            cell = [r for r in runs if r.case == case and r.solver == solver]
-            good = [r for r in cell if not r.failure]
-            row = {
-                "case": case,
-                "solver": solver,
-                "n_runs": len(cell),
-                "n_errors": len(cell) - len(good),
-            }
-            for key in ("iterations", "error", "objective", "wall_time"):
-                row["mean_" + key] = (
-                    float(np.mean([getattr(r, key) for r in good]))
-                    if good else float("nan")
-                )
-            row["max_lyapunov_violation"] = (
-                float(np.max([r.lyapunov_violation for r in good]))
-                if solver == "proposed" and good else float("nan")
-            )
-            rows.append(row)
-    if cfg.out_csv:
-        with open(cfg.out_csv, "w", newline="") as fh:
-            fh.write(results_csv_text(rows))
+    # opened before any solve, so that a bad path fails first
+    with open(cfg.out_csv or os.devnull, "w", newline="") as fh:
+        runs = [rec for case in cfg.cases for k in range(cfg.n_seeds)
+                for rec in _run_instance(case, cfg.base_seed + k, cfg)]
+        rows = [
+            {"case": c, "solver": s,
+             **_summary([r for r in runs if r.case == c and r.solver == s])}
+            for c in cfg.cases for s in cfg.solvers
+        ]
+        fh.write(results_csv_text(rows))
     return SweepResult(rows=rows, runs=runs)
 
 
@@ -187,71 +200,54 @@ def results_csv_text(rows):
 class OPFResult:
     best_report: object         # PlanReport of the best objective
     best_x: np.ndarray
-    stats: dict                 # per solver: mean/best objective, iterations
-    starts: list                # per (solver, start) dicts
+    stats: dict                 # per solver: _summary of its starts
+    starts: list                # per (solver, start) RunRecord
     rate_r2: float              # tail log-linear fit of proposed step norms
 
 
-def _random_start(set_, rng, spec):
-    lo = np.where(np.isfinite(set_.lo), set_.lo, -1.0)
-    hi = np.where(np.isfinite(set_.hi), set_.hi, 1.0)
-    # f is an indicator, so its prox is the same projection for every tau.
-    return spec.prox_fC(rng.uniform(lo, hi), 1.0)
-
-
-def run_opf(cfg, net=None):
+def run_opf(cfg):
     """Multi-start comparison on the placement model.
 
-    Each start is drawn uniformly between the variable bounds and projected
-    onto the feasible set, then every solver of cfg.solvers runs from it.
-    All starts share one model and its projector.
+    Each start is drawn uniformly in the variable box and projected onto
+    the feasible set, then every solver of cfg.solvers runs from it.  All
+    starts share one model and its projector.  A start whose solve raises
+    is recorded with its failure and left out of the stats and the plan.
     """
-    if net is None:
+    # opened before any solve, so that a bad path fails first
+    with open(cfg.out_json or os.devnull, "w") as fh:
         net = opf.load_network()
-    spec, set_, lay = opf.build_dcopf(net)
-    rng = np.random.default_rng(cfg.base_seed)
-    x0s = [_random_start(set_, rng, spec) for _ in range(cfg.opf_starts)]
+        spec, set_, lay = opf.build_dcopf(net)
+        rng = np.random.default_rng(cfg.base_seed)
+        # Every variable has a finite box.  f is an indicator, so its prox
+        # is the same projection for every tau.
+        x0s = [spec.prox_fC(rng.uniform(set_.lo, set_.hi), 1.0)
+               for _ in range(cfg.opf_starts)]
 
-    starts = []
-    best_objective, best_x = np.inf, None
-    for solver in cfg.solvers:
-        for k, x0 in enumerate(x0s):
-            rep = _solve_cell(spec, x0, solver, OPF_MAX_ITER)
-            starts.append({
-                "solver": solver, "start": k, "objective": rep.objective,
-                "iterations": rep.iterations, "wall_time": rep.wall_time,
-                "lyapunov_violation": rep.max_lyapunov_violation,
-            })
-            if solver == "proposed" and rep.objective < best_objective:
-                best_objective, best_x = rep.objective, rep.x
+        starts, stats = [], {}
+        best_objective, best_x = np.inf, None
+        for solver in cfg.solvers:
+            cell = [RunRecord("opf", cfg.base_seed, solver, start=k)
+                    for k in range(cfg.opf_starts)]
+            for rec, x0 in zip(cell, x0s):
+                rep = _run(rec, spec, x0, OPF_MAX_ITER)
+                if (solver == "proposed" and rep is not None
+                        and rep.objective < best_objective):
+                    best_objective, best_x = rep.objective, rep.x
+            stats[solver] = _summary(cell)
+            starts += cell
 
-    stats = {}
-    for solver in cfg.solvers:
-        cell = [s for s in starts if s["solver"] == solver]
-        stats[solver] = {
-            "mean_objective": float(np.mean([s["objective"] for s in cell])),
-            "best_objective": float(np.min([s["objective"] for s in cell])),
-            "mean_iterations": float(np.mean([s["iterations"] for s in cell])),
-            "mean_wall_time": float(np.mean([s["wall_time"] for s in cell])),
-        }
-    rate_r2 = float("nan")
-    if "proposed" in cfg.solvers:
-        # Dedicated diagnostic run with the stopping rule disabled, so the
-        # tail fit sees the full step-norm history rather than 2-3 points.
-        diag = psg.solve(spec, x0s[0],
-                         SolverParams(max_iter=60, stop_rel_tol=0.0))
-        _, rate_r2, _ = psg.tail_linear_fit(diag.trace.step_norms[1:])
-    report = None
-    if best_x is not None:
-        report = opf.postprocess_solution(best_x, net, lay)
-    result = OPFResult(
-        best_report=report, best_x=best_x, stats=stats, starts=starts,
-        rate_r2=rate_r2,
-    )
-    if cfg.out_json and report is not None:
-        with open(cfg.out_json, "w") as fh:
+        rate_r2 = float("nan")
+        if "proposed" in cfg.solvers:
+            # Diagnostic run with the stopping rule disabled, so the tail
+            # fit sees the full step-norm history rather than 2-3 points.
+            diag = psg.solve(spec, x0s[0],
+                             SolverParams(max_iter=60, stop_rel_tol=0.0))
+            _, rate_r2, _ = psg.tail_linear_fit(diag.trace.step_norms[1:])
+        report = None
+        if best_x is not None:
+            report = opf.postprocess_solution(best_x, net, lay)
             fh.write(report.to_json(indent=2))
-    return result
+    return OPFResult(report, best_x, stats, starts, rate_r2)
 
 
 def _check_solver_suite(rng):

@@ -82,7 +82,10 @@ def cmd_opf_run(args):
     print("step-norm tail fit R^2: %.4f (diagnostic only)" % result.rate_r2)
     if result.best_report is not None:
         print(result.best_report.table())
-    return 0
+    n_failed = sum(stat["n_errors"] for stat in result.stats.values())
+    if n_failed:
+        print("%d start(s) failed" % n_failed, file=sys.stderr)
+    return 1 if n_failed else 0
 
 
 def cmd_check(args):

@@ -12,21 +12,27 @@ It prints one JSON document of hex floats and SHA-256 hashes:
     3 seeds, without the nondeterministic wall-time column;
   - the 30-start run_opf: each start's objective, iterations and Lyapunov
     violation, a hash of best_x, the placement, rate_r2 and the plan JSON;
-  - the stdout of `dcprox check`;
+  - the exit code and stdout of `dcprox check`, of `dcprox opf-run` with the
+    default config and of a one-cell `dcprox cs-run` (case 1, proposed
+    solver, one seed; without the wall-time column);
   - status, iterations, objective and hashes of x and of the trace of every
     solve of least-squares cases 1/2/3/5/6 and Lorentzian cases 1/5, seeds
     0-3, with each of the three solvers.
 It uses only bench.SweepConfig, bench.OPFConfig, bench.run_cs_sweep,
 bench.results_csv_text, bench.run_opf, bench._solve_cell, cs.make_instance,
 cs.build_cs_problem and cli.main, so it runs unchanged on both sides of a
-change that keeps those.
+change that keeps those.  An OPF start is read by start_fields, which takes
+the bench.RunRecord of a start or the dict that held one before.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
+import tempfile
+import types
 
 import numpy as np
 
@@ -58,14 +64,19 @@ def sweep_csvs():
     return out
 
 
+def start_fields(start):
+    """Solver, start, objective, iterations and Lyapunov violation of one
+    OPF start: a bench.RunRecord, or the dict that held a start before."""
+    if isinstance(start, dict):
+        start = types.SimpleNamespace(**start)
+    return [start.solver, start.start, float(start.objective).hex(),
+            start.iterations, float(start.lyapunov_violation).hex()]
+
+
 def opf_run():
     result = bench.run_opf(bench.OPFConfig(opf_starts=30))
     return {
-        "starts": [
-            [s["solver"], s["start"], float(s["objective"]).hex(),
-             s["iterations"], float(s["lyapunov_violation"]).hex()]
-            for s in result.starts
-        ],
+        "starts": [start_fields(s) for s in result.starts],
         "best_x": array_digest(result.best_x),
         "placement": list(result.best_report.placement),
         "rate_r2": float(result.rate_r2).hex(),
@@ -73,11 +84,29 @@ def opf_run():
     }
 
 
-def check_stdout():
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = cli.main(["check"])
+def cli_stdout(argv, config=None):
+    """Exit code and stdout lines of cli.main(argv), with config (a config
+    file's text) passed by --config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = os.path.join(tmp, "config.txt")
+            with open(path, "w") as fh:
+                fh.write(config)
+            argv = argv + ["--config", path]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = cli.main(argv)
     return {"exit": rc, "stdout": buf.getvalue().splitlines()}
+
+
+def cs_run_stdout():
+    out = cli_stdout(["cs-run"], "cases = 1\nsolvers = proposed\nn_seeds = 1\n")
+    out["stdout"] = [
+        ",".join(c for k, c in enumerate(line.split(","))
+                 if k != WALL_TIME_COLUMN)
+        for line in out["stdout"]
+    ]
+    return out
 
 
 def solves():
@@ -109,7 +138,9 @@ def main():
     doc = {
         "sweep_csvs": sweep_csvs(),
         "opf_run": opf_run(),
-        "check": check_stdout(),
+        "check": cli_stdout(["check"]),
+        "cs_run": cs_run_stdout(),
+        "opf_run_stdout": cli_stdout(["opf-run"]),
         "solves": solves(),
     }
     json.dump(doc, sys.stdout, indent=1, sort_keys=True)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dcprox import bench, cli, cs
+from dcprox.polyhedron import ProjectionError
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -184,6 +185,82 @@ def test_sweep_records_cell_failures(monkeypatch):
     res = bench.run_cs_sweep(cfg)
     assert res.rows[0]["n_errors"] == 1
     assert "injected" in res.runs[0].failure
+
+
+@pytest.mark.parametrize("command, line", [
+    ("cs-run", "cases = 1\nsolvers = proposed\nn_seeds = 1\nout_csv = %s\n"),
+    ("opf-run", "opf_starts = 2\nout_json = %s\n"),
+], ids=["cs-run", "opf-run"])
+def test_cli_bad_output_path_fails_before_any_solve(tmp_path, monkeypatch,
+                                                    command, line):
+    calls = []
+    solve_cell = bench._solve_cell
+    monkeypatch.setattr(bench, "_solve_cell",
+                        lambda *args: calls.append(args) or solve_cell(*args))
+    p = tmp_path / "cfg.txt"
+    p.write_text(line % (tmp_path / "missing-dir" / "out"))
+    with pytest.raises(FileNotFoundError):
+        cli.main([command, "--config", str(p)])
+    assert calls == []
+
+
+def test_opf_config_rejects_out_json_without_proposed():
+    # the plan report is the best proposed start
+    with pytest.raises(ValueError, match="out_json needs 'proposed'"):
+        cli.config_from_dict(bench.OPFConfig, {"solvers": "gppa, pdcae",
+                                               "out_json": "plan.json"})
+    bench.OPFConfig(solvers=("gppa",))
+
+
+def test_opf_failed_start_is_recorded_with_its_cause(tmp_path, monkeypatch,
+                                                     capsys):
+    # pdcae's second start fails in its third projection; the other starts
+    # and solvers run on, and the failure names the oracle, the iteration
+    # and the projection's own message
+    solve_cell = bench._solve_cell
+    seen = []
+
+    def failing_second_pdcae(spec, x0, solver, max_iter):
+        seen.append(solver)
+        if solver == "pdcae" and seen.count("pdcae") == 2:
+            proxes = []
+            project = spec.prox_fC
+
+            def prox(w, tau):
+                proxes.append(tau)
+                if len(proxes) == 3:
+                    raise ProjectionError(
+                        "projection residual 2.500e-03 exceeds tol 1.0e-09",
+                        2.5e-3)
+                return project(w, tau)
+
+            spec = dataclasses.replace(spec, prox_fC=prox)
+        return solve_cell(spec, x0, solver, max_iter)
+
+    monkeypatch.setattr(bench, "_solve_cell", failing_second_pdcae)
+    res = bench.run_opf(bench.OPFConfig(opf_starts=3))
+    failed = [s for s in res.starts if s.failure]
+    assert [(s.case, s.seed, s.solver, s.start) for s in failed] == [
+        ("opf", 0, "pdcae", 1)]
+    assert failed[0].failure == (
+        "RuntimeError('prox_fC failed at iteration 2') from ProjectionError("
+        "'projection residual 2.500e-03 exceeds tol 1.0e-09')")
+    assert {k: v["n_errors"] for k, v in res.stats.items()} == {
+        "gppa": 0, "pdcae": 1, "proposed": 0}
+    pdcae = [s for s in res.starts if s.solver == "pdcae" and not s.failure]
+    assert [s.start for s in pdcae] == [0, 2]
+    assert res.stats["pdcae"]["n_runs"] == 3
+    assert res.stats["pdcae"]["mean_objective"] == float(
+        np.mean([s.objective for s in pdcae]))
+    assert res.best_report is not None
+
+    seen.clear()
+    p = tmp_path / "cfg.txt"
+    p.write_text("opf_starts = 3\n")
+    assert cli.main(["opf-run", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "1 start(s) failed\n"
+    assert captured.out.startswith("gppa ")
 
 
 def test_cli_cs_run(tmp_path, capsys):

@@ -1,13 +1,18 @@
 import dataclasses
 import importlib.resources
+import itertools
 import json
 import shutil
 
 import numpy as np
 import pytest
 
-from dcprox import opf
-from dcprox.polyhedron import PolyhedronProjector
+from dcprox import bench, opf
+from dcprox.polyhedron import (
+    InfeasiblePolyhedronError,
+    PolyhedralSet,
+    PolyhedronProjector,
+)
 from dcprox.problem import SolverParams, tau_upper_bound
 from dcprox.psg import solve
 
@@ -235,20 +240,67 @@ def test_plan_report_serialization(net):
     assert "objective" in report.table()
 
 
-def test_multi_start_monotonicity(net):
-    from dcprox import bench
+@pytest.fixture(scope="module")
+def opf_run():
+    return bench.run_opf(bench.OPFConfig(opf_starts=4, base_seed=2,
+                                         solvers=("proposed",)))
 
-    cfg = bench.OPFConfig(opf_starts=4, base_seed=2, solvers=("proposed",))
-    res = bench.run_opf(cfg, net=net)
-    objs = [s["objective"] for s in res.starts]
+
+def test_multi_start_monotonicity(opf_run):
+    objs = [s.objective for s in opf_run.starts]
     best_so_far = np.minimum.accumulate(objs)
     assert all(b <= a + 1e-15 for a, b in zip(objs, best_so_far))
-    assert res.stats["proposed"]["best_objective"] <= res.stats["proposed"]["mean_objective"]
+    stats = opf_run.stats["proposed"]
+    assert stats["best_objective"] <= stats["mean_objective"]
+
+
+def fix_indicators(set_, lay, buses):
+    """Copy of set_ with the indicators of buses (1-based) fixed at 1 and
+    all others at 0, through lo = hi."""
+    lo, hi = set_.lo.copy(), set_.hi.copy()
+    lo[lay.x_bin] = hi[lay.x_bin] = np.isin(np.arange(1, opf.N_BUS + 1), buses)
+    return PolyhedralSet(set_.dim, set_.E, set_.e, set_.G, set_.g, lo, hi)
+
+
+def solve_fixed(spec, fixed):
+    """Solve of the convex model left when every indicator is fixed."""
+    proj = PolyhedronProjector(fixed, tol=opf.PROJECTION_TOL)
+    spec = dataclasses.replace(
+        spec, prox_fC=lambda w, tau: proj.project(w),
+        is_feasible=lambda x: fixed.contains(x, tol=1e-6))
+    return solve(spec, proj.feasible_point(), SolverParams(max_iter=1000))
+
+
+def test_every_pair_placement_is_a_global_optimum(built, net, opf_run):
+    # Enumerates the binary model by its number k of PV units: the optimum
+    # is a tie of all 91 pairs, so the placement clause of acceptance
+    # criterion 4 asks for a tie-break, not for the optimum.
+    spec, set_, lay = built
+    best = opf_run.stats["proposed"]["best_objective"]
+    # k <= 1: the 50% penetration needs 0.5 D / p_pv_max = 1.947 units
+    assert 0.5 * net.total_demand / net.p_pv_max > 1
+    for buses in [()] + [(b,) for b in range(1, opf.N_BUS + 1)]:
+        with pytest.raises(InfeasiblePolyhedronError):
+            PolyhedronProjector(fix_indicators(set_, lay, buses),
+                                tol=opf.PROJECTION_TOL).feasible_point()
+    # k >= 3: the balance gives sum P^PV = D - P^G <= D, so the objective is
+    # at least k C_pv + n_gen c - 1 (a, b >= 0 and g = 0 on binaries)
+    assert net.cost_a >= 0 and net.cost_b >= 0
+    bound = (3 * net.pv_unit_cost + len(net.generator_buses) * net.cost_c
+             - 1.0)
+    assert bound > best
+    # k = 2: every pair reaches the multi-start best
+    objective = {
+        pair: solve_fixed(spec, fix_indicators(set_, lay, pair)).objective
+        for pair in itertools.combinations(range(1, opf.N_BUS + 1), 2)
+    }
+    assert len(objective) == 91
+    assert max(abs(v - best) for v in objective.values()) <= 1e-9
+    assert (7, 9) in objective and (3, 14) in objective
+    assert opf_run.best_report.placement in objective
 
 
 def test_run_opf_builds_one_model(net, monkeypatch):
-    from dcprox import bench
-
     calls = []
     build = bench.opf.build_dcopf
 
@@ -258,7 +310,7 @@ def test_run_opf_builds_one_model(net, monkeypatch):
 
     monkeypatch.setattr(bench.opf, "build_dcopf", counting_build)
     cfg = bench.OPFConfig(opf_starts=2, base_seed=0)
-    res = bench.run_opf(cfg, net=net)
+    res = bench.run_opf(cfg)
     assert len(calls) == 1
     assert len(res.starts) == 2 * len(bench.SOLVERS)
 
