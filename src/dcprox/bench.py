@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,18 +211,26 @@ def run_opf(cfg):
 
     Each start is drawn uniformly in the variable box and projected onto
     the feasible set, then every solver of cfg.solvers runs from it.  All
-    starts share one model and its projector.  A start whose solve raises
-    is recorded with its failure and left out of the stats and the plan.
+    starts share one model and its projector.  A start whose projection or
+    solve raises is recorded with its failure and left out of the stats
+    and the plan; the rate diagnostic runs from the first projected start,
+    and if it raises, a RuntimeWarning names the failure and rate_r2 stays
+    NaN.
     """
     # opened before any solve, so that a bad path fails first
     with open(cfg.out_json or os.devnull, "w") as fh:
         net = opf.load_network()
         spec, set_, lay = opf.build_dcopf(net)
         rng = np.random.default_rng(cfg.base_seed)
-        # Every variable has a finite box.  f is an indicator, so its prox
-        # is the same projection for every tau.
-        x0s = [spec.prox_fC(rng.uniform(set_.lo, set_.hi), 1.0)
-               for _ in range(cfg.opf_starts)]
+        x0s = []
+        for _ in range(cfg.opf_starts):
+            # Every variable has a finite box.  f is an indicator, so its
+            # prox is the same projection for every tau.
+            w = rng.uniform(set_.lo, set_.hi)
+            try:
+                x0s.append(spec.prox_fC(w, 1.0))
+            except Exception as exc:
+                x0s.append(_failure(exc))
 
         starts, stats = [], {}
         best_objective, best_x = np.inf, None
@@ -229,6 +238,9 @@ def run_opf(cfg):
             cell = [RunRecord("opf", cfg.base_seed, solver, start=k)
                     for k in range(cfg.opf_starts)]
             for rec, x0 in zip(cell, x0s):
+                if isinstance(x0, str):
+                    rec.failure = x0
+                    continue
                 rep = _run(rec, spec, x0, OPF_MAX_ITER)
                 if (solver == "proposed" and rep is not None
                         and rep.objective < best_objective):
@@ -237,12 +249,17 @@ def run_opf(cfg):
             starts += cell
 
         rate_r2 = float("nan")
-        if "proposed" in cfg.solvers:
+        projected = [x0 for x0 in x0s if not isinstance(x0, str)]
+        if "proposed" in cfg.solvers and projected:
             # Diagnostic run with the stopping rule disabled, so the tail
             # fit sees the full step-norm history rather than 2-3 points.
-            diag = psg.solve(spec, x0s[0],
-                             SolverParams(max_iter=60, stop_rel_tol=0.0))
-            _, rate_r2, _ = psg.tail_linear_fit(diag.trace.step_norms[1:])
+            try:
+                diag = psg.solve(spec, projected[0],
+                                 SolverParams(max_iter=60, stop_rel_tol=0.0))
+                _, rate_r2, _ = psg.tail_linear_fit(diag.trace.step_norms[1:])
+            except Exception as exc:
+                warnings.warn("rate diagnostic failed: " + _failure(exc),
+                              RuntimeWarning)
         report = None
         if best_x is not None:
             report = opf.postprocess_solution(best_x, net, lay)

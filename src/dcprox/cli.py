@@ -101,6 +101,14 @@ def cmd_gen(args):
     return 0
 
 
+def seed(text):
+    """A --seed value: a non-negative integer, as numpy's seeding requires."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("seed is negative: %r" % value)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dcprox", description="Difference-of-convex proximal benchmarks"
@@ -120,7 +128,7 @@ def build_parser():
 
     p = sub.add_parser("gen", help="write one instance bundle")
     p.add_argument("--case", type=int, required=True, choices=sorted(cs.CASES))
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=seed, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--loss", default="least-squares",
                    choices=sorted(bench.LOSS_DEFAULTS))

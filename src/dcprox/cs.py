@@ -110,11 +110,6 @@ def gen_dct(m, d, seed):
     # irfft counts every bin but the zeroth and (even d) the d/2-th twice and
     # divides by d; undo both
     spread = np.where((j == 0) | (2 * j == d), float(d), 0.5 * d) * (wr - 1j * wi)
-    # rows is sorted, so the low rows (bins distinct) come before the high
-    # rows (bins distinct among themselves, possibly shared with a low row)
-    h = int(np.count_nonzero(~high))
-    j_low, j_high = j[:h], j[h:]
-    spread_low, spread_high = spread[:h], spread[h:]
 
     def apply(x):
         z = np.fft.rfft(x[perm])[j]
@@ -122,8 +117,8 @@ def gen_dct(m, d, seed):
 
     def adjoint(y):
         z = np.zeros(d // 2 + 1, dtype=complex)
-        z[j_low] = spread_low * y[:h]
-        z[j_high] += spread_high * y[h:]
+        # a low row and a high row may share a bin; add.at sums both
+        np.add.at(z, j, spread * y)
         return np.fft.irfft(z, d)[inv]
 
     return LinearMap(apply, adjoint, d, m)

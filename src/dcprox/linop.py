@@ -5,6 +5,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+#: x of length d counts as sparse when SPARSE_CUT * nnz(x) <= d
+SPARSE_CUT = 8
+
 
 @dataclass(frozen=True, eq=False)
 class LinearMap:
@@ -41,8 +44,8 @@ class LinearMap:
         """Map of a dense matrix, stored column-major (copied if it is not).
 
         apply(x) multiplies only the columns of the nonzeros of x when at
-        most d/8 entries are nonzero (NaNs count as nonzero), so a sparse
-        iterate costs what its support costs; denser x take the full product.
+        most d / SPARSE_CUT entries are nonzero (NaNs count as nonzero), so a
+        sparse iterate costs its support; denser x take the full product.
         On 720 x 2560 (2-vCPU Xeon VM), gathering and multiplying 80 columns
         takes 40-50 us against ~400 us for the full product, 320 columns
         ~300 us; the support product differs from A @ x only in rounding.
@@ -54,7 +57,7 @@ class LinearMap:
 
         def apply(x):
             nz = x != 0
-            if 8 * np.count_nonzero(nz) <= d:
+            if SPARSE_CUT * np.count_nonzero(nz) <= d:
                 S = nz.nonzero()[0]
                 return A[:, S] @ x[S]
             return A @ x

@@ -278,7 +278,7 @@ def build_dcopf(net):
         map_A=LinearMap.identity(d),
         lipschitz_ell=2.0 * a,
         norm_A=1.0,
-        is_feasible=lambda x: set_.contains(x, tol=1e-6),
+        is_feasible=lambda x: set_.residual(x) <= 1e-6,
     )
     return spec, set_, lay
 

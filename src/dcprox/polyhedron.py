@@ -64,9 +64,6 @@ class PolyhedralSet:
         res = max(res, float(np.max(np.maximum(x - self.hi, 0.0), initial=0.0)))
         return res
 
-    def contains(self, x, tol=1e-6):
-        return self.residual(x) <= tol
-
 
 class PolyhedronProjector:
     """Reusable projector onto one PolyhedralSet.

@@ -65,12 +65,10 @@ class ProblemSpec:
             raise ValueError("screen matrix shape %s does not match map_A %s"
                              % (self.screen.matrix.shape, shape))
 
-    def objective(self, x):
-        return (
-            self.value_f(x)
-            + self.value_h(self.map_A.apply(x))
-            - self.value_g(x)
-        )
+    def objective(self, x, Ax=None):
+        """F(x) = f(x) + h(A x) - g(x); Ax, when given, must be A x."""
+        Ax = self.map_A.apply(x) if Ax is None else Ax
+        return self.value_f(x) + self.value_h(Ax) - self.value_g(x)
 
 
 @dataclass(frozen=True)

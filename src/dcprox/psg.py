@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 
+from .linop import SPARSE_CUT
 from .problem import IterateTrace, SolveReport, tau_upper_bound
 
 
@@ -46,9 +47,9 @@ def screen_columns(ref, screen, norm_A, tau, psi, v, g_n):
     ref = (psi_r, G_r, Q) holds the last full product G_r = fl(A^T psi_r)
     and Q = ||psi_r||.  Returns (w~, K): w~ = fl(v - tau G_r + tau g_n), and
     K the coordinates not certified below t = fl(gamma tau).  Returns
-    (None, None) when more than d/8 coordinates are kept, as all are when
-    the bound is not finite; the caller then takes the full product.  A NaN
-    in w~ keeps its coordinate.  Every i outside K is
+    (None, None) when more than d / SPARSE_CUT coordinates are kept, as all
+    are when the bound is not finite; the caller then takes the full
+    product.  A NaN in w~ keeps its coordinate.  Every i outside K is
     zeroed by the prox both at w~_i and at the w_i of the full product, so
     skipping it changes no zero pattern.
 
@@ -87,7 +88,7 @@ def screen_columns(ref, screen, norm_A, tau, psi, v, g_n):
     r = (1.0 + e) * R + 2.0 * EPS * t
     w = v - tau * G_r + tau * g_n
     cols = np.flatnonzero(~(np.abs(w) + r < t))
-    if 8 * len(cols) > d:
+    if SPARSE_CUT * len(cols) > d:
         return None, None
     return w, cols
 
@@ -106,7 +107,7 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
     naming subgrad_g, grad_h, the A* product (full or on columns) or prox_fC.
 
     With spec.screen set, the full A* product is kept as a reference, and
-    while x_n has at most d/8 nonzeros screen_columns may replace the next
+    while x_n is sparse (linop.SPARSE_CUT) screen_columns may replace the next
     one by a product on the columns the prox does not provably zero; each
     iteration makes one full or one column-subset A* product either way.
     """
@@ -114,18 +115,14 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
     if spec.is_feasible is not None and not spec.is_feasible(x):
         raise ValueError("starting point is infeasible")
 
-    def objective(x, Ax):
-        return spec.value_f(x) + spec.value_h(Ax) - spec.value_g(x)
-
     Ax = spec.map_A.apply(x)
-    f0 = float(objective(x, Ax))
+    f0 = float(spec.objective(x, Ax))
     trace = IterateTrace(objective=[f0], step_norms=[0.0], lyapunov=[f0],
                          iterates=[x.copy()] if params.keep_iterates else None)
 
     period = len(lams)
     screen, ref = spec.screen, None
-    if screen is not None:
-        d = screen.matrix.shape[1]
+    d = spec.map_A.dim_in
     x_prev, Ax_prev = x, Ax
     status = "max-iter"
     iterations = 0
@@ -143,7 +140,7 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
             oracle = "A* product"
             v = x if mu == 0.0 else x + mu * (x - x_prev)
             cols = None
-            if ref is not None and 8 * np.count_nonzero(x) <= d:
+            if ref is not None and SPARSE_CUT * np.count_nonzero(x) <= d:
                 w, cols = screen_columns(ref, screen, spec.norm_A, tau, psi, v, g_n)
             if cols is None:
                 grad = spec.map_A.adjoint(psi)
@@ -164,7 +161,7 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
         if not math.isfinite(step) and not np.isfinite(x_next).all():
             raise FloatingPointError("non-finite iterate at iteration %d" % n)
         Ax_next = spec.map_A.apply(x_next)
-        fval = float(objective(x_next, Ax_next))
+        fval = float(spec.objective(x_next, Ax_next))
         lyap = fval + c * step * step
         violation = lyap + delta * step * step - trace.lyapunov[-1]
         if violation > max_violation or math.isnan(violation):

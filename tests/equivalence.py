@@ -21,8 +21,7 @@ It prints one JSON document of hex floats and SHA-256 hashes:
 It uses only bench.SweepConfig, bench.OPFConfig, bench.run_cs_sweep,
 bench.results_csv_text, bench.run_opf, bench._solve_cell, cs.make_instance,
 cs.build_cs_problem and cli.main, so it runs unchanged on both sides of a
-change that keeps those.  An OPF start is read by start_fields, which takes
-the bench.RunRecord of a start or the dict that held one before.
+change that keeps those.
 """
 
 import contextlib
@@ -32,7 +31,6 @@ import json
 import os
 import sys
 import tempfile
-import types
 
 import numpy as np
 
@@ -65,10 +63,8 @@ def sweep_csvs():
 
 
 def start_fields(start):
-    """Solver, start, objective, iterations and Lyapunov violation of one
-    OPF start: a bench.RunRecord, or the dict that held a start before."""
-    if isinstance(start, dict):
-        start = types.SimpleNamespace(**start)
+    """Solver, start, objective, iterations and Lyapunov violation of the
+    bench.RunRecord of one OPF start."""
     return [start.solver, start.start, float(start.objective).hex(),
             start.iterations, float(start.lyapunov_violation).hex()]
 

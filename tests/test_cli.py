@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dcprox import bench, cli, cs
-from dcprox.polyhedron import ProjectionError
+from dcprox.polyhedron import PolyhedronProjector, ProjectionError
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -263,6 +263,58 @@ def test_opf_failed_start_is_recorded_with_its_cause(tmp_path, monkeypatch,
     assert captured.out.startswith("gppa ")
 
 
+def test_opf_start_whose_projection_fails_is_recorded(tmp_path, monkeypatch,
+                                                      capsys):
+    # the model's feasible point takes the first projection and start 0 the
+    # second, which fails: start 0 is a failure of every solver, starts 1
+    # and 2 draw and solve as without the failure, and the rate diagnostic
+    # runs from start 1
+    want = bench.run_opf(bench.OPFConfig(opf_starts=3))
+    project = PolyhedronProjector.project
+    calls = []
+
+    def failing_second(self, w):
+        calls.append(w)
+        if len(calls) == 2:
+            raise ProjectionError("injected", float("nan"))
+        return project(self, w)
+
+    monkeypatch.setattr(PolyhedronProjector, "project", failing_second)
+    res = bench.run_opf(bench.OPFConfig(opf_starts=3))
+    for solver in bench.SOLVERS:
+        assert res.stats[solver]["n_errors"] == 1
+    assert [s.failure for s in res.starts if s.start == 0] == [
+        "ProjectionError('injected')"] * 3
+    fields = [[(s.solver, s.start, s.objective, s.iterations)
+               for s in r.starts if s.start > 0] for r in (res, want)]
+    assert fields[0] == fields[1]
+    assert np.isfinite(res.rate_r2)
+    assert res.best_report is not None
+
+    calls.clear()
+    p = tmp_path / "cfg.txt"
+    p.write_text("opf_starts = 3\n")
+    assert cli.main(["opf-run", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "3 start(s) failed\n"
+    assert "step-norm tail fit R^2: nan" not in captured.out
+
+
+def test_opf_rate_diagnostic_failure_leaves_rate_r2_nan(monkeypatch):
+    # only the rate diagnostic fits a tail; its failure costs the run
+    # nothing else
+    def boom(values):
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(bench.psg, "tail_linear_fit", boom)
+    with pytest.warns(RuntimeWarning,
+                      match=r"rate diagnostic failed: FloatingPointError"):
+        res = bench.run_opf(bench.OPFConfig(opf_starts=1))
+    assert np.isnan(res.rate_r2)
+    assert all(s["n_errors"] == 0 for s in res.stats.values())
+    assert res.best_report is not None
+
+
 def test_cli_cs_run(tmp_path, capsys):
     p = tmp_path / "cfg.txt"
     p.write_text("cases = 1\nsolvers = proposed\nn_seeds = 1\n")
@@ -297,6 +349,15 @@ def test_cli_gen_round_trip(tmp_path, capsys):
         meta = {k: json.loads(v) for k, v in list(csv.reader(fh))[1:]}
     assert (meta["seed"], meta["m"], meta["d"]) == (3, 180, 640)
     assert meta["loss_kind"] == "least-squares"
+
+
+def test_cli_gen_rejects_negative_seed(tmp_path, capsys):
+    out_dir = tmp_path / "inst"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen", "--case", "1", "--seed", "-1", "--out", str(out_dir)])
+    assert exc.value.code == 2
+    assert "argument --seed: seed is negative: -1" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_check_exit_code(capsys):

@@ -19,12 +19,12 @@ def test_validation():
         PolyhedronProjector(PolyhedralSet(2), tol=0.0)
 
 
-def test_residual_and_contains():
+def test_residual():
     set_ = PolyhedralSet(2, E=np.array([[1.0, 1.0]]), e=np.array([1.0]),
                          lo=np.zeros(2), hi=np.ones(2))
-    assert set_.contains(np.array([0.5, 0.5]))
-    assert not set_.contains(np.array([2.0, -1.0]))
     assert set_.residual(np.array([0.5, 0.5])) < 1e-15
+    # the box violation of 1 at both coordinates outweighs the equality's 0
+    assert set_.residual(np.array([2.0, -1.0])) == 1.0
 
 
 def test_interior_point_is_fixed():
@@ -100,7 +100,7 @@ def test_feasible_point_satisfies_constraints():
     for _ in range(5):
         set_ = random_polytope(rng)
         x = PolyhedronProjector(set_, tol=1e-9).feasible_point()
-        assert set_.contains(x, tol=1e-8)
+        assert set_.residual(x) <= 1e-8
 
 
 def fixed_coordinate_set(rng, d, values):
