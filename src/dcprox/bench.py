@@ -21,13 +21,17 @@ OPF_MAX_ITER = 1000
 
 
 def _check_members(key, values, known):
-    """Reject an empty values, or one with items that known lacks."""
+    """Reject an empty values, one with items that known lacks, or one that
+    repeats an item."""
     if not values:
         raise ValueError("%s is empty: %r" % (key, values))
     unknown = [v for v in values if v not in known]
     if unknown:
         raise ValueError("unimplemented %s: %s (known: %s)"
                          % (key, unknown, sorted(known)))
+    repeated = [v for k, v in enumerate(values) if v in values[:k]]
+    if repeated:
+        raise ValueError("%s repeats %r" % (key, repeated[0]))
 
 
 @dataclass(frozen=True)
@@ -368,9 +372,9 @@ def _check_network(rng):
     _, _, _, theta, flow = lay.unpack(x0)
     anti = np.max(np.abs(flow + flow.T))
     yield ("flow antisymmetry", anti <= 1e-7, "max %.2e" % anti)
-    gap = opf.binary_relaxation_gap(lay.pack(
-        np.zeros(14), 0.0, np.array([0.9, 0.1] + [0.0] * 12),
-        np.zeros(14), np.zeros((14, 14))), lay)
+    mixed = zero.copy()
+    mixed[lay.x_bin.start:lay.x_bin.start + 2] = 0.9, 0.1
+    gap = opf.binary_relaxation_gap(mixed, lay)
     yield ("relaxation gap arithmetic", abs(gap - 0.18) < 1e-12, "%.4f" % gap)
 
 

@@ -56,7 +56,7 @@ def gen_gaussian(m, d, seed, mode):
       "orthonormal"  rows orthonormalized (QR of the transpose), so that
                      A A^T = I to rounding and norm_A is 1.
     For "scaled" one eigendecomposition of A A^T verifies full row rank
-    (lambda_min > 1e-12 lambda_max; the draw is repeated on failure,
+    (lambda_min > 1e-12 lambda_max, else RuntimeError; a failure has
     probability ~ 0) and gives the certified norm_A of
     linop.gram_spectrum.  A is column-major, for the support-column
     products of LinearMap.from_matrix; it equals
@@ -67,18 +67,17 @@ def gen_gaussian(m, d, seed, mode):
     if mode not in ("scaled", "orthonormal"):
         raise ValueError("unknown mode %r" % (mode,))
     rng = np.random.default_rng(seed)
-    for _ in range(8):
-        if mode == "orthonormal":
-            # the row-major draw is what QR of its transpose reads fastest,
-            # and Q^T comes out column-major
-            Q, _ = np.linalg.qr(rng.standard_normal((m, d)).T)
-            return np.asfortranarray(Q.T), 1.0
-        A = _standard_normal_column_major(rng, m, d)
-        A /= np.sqrt(m)
-        lam, norm_A = gram_spectrum(A)
-        if lam[0] > 1e-12 * lam[-1]:
-            return A, norm_A
-    raise RuntimeError("failed to draw a full-row-rank Gaussian matrix")
+    if mode == "orthonormal":
+        # the row-major draw is what QR of its transpose reads fastest, and
+        # Q comes out row-major, so Q^T is column-major
+        Q, _ = np.linalg.qr(rng.standard_normal((m, d)).T)
+        return Q.T, 1.0
+    A = _standard_normal_column_major(rng, m, d)
+    A /= np.sqrt(m)
+    lam, norm_A = gram_spectrum(A)
+    if not lam[0] > 1e-12 * lam[-1]:
+        raise RuntimeError("the Gaussian draw is not of full row rank")
+    return A, norm_A
 
 
 def gen_dct(m, d, seed):

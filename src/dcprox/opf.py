@@ -8,8 +8,9 @@ post-processes solutions (rounding the placement indicators, dollar costs).
 import csv
 import importlib.resources
 import json
+import math
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,12 +53,21 @@ class NetworkData:
         return float(self.demand_p.sum())
 
 
+def _number(text, file, key):
+    """float(text), or NetworkLoadError naming the file and key if not finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise NetworkLoadError("non-finite %s in %s: %r" % (key, file, text))
+    return value
+
+
 def _read_matrix(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         buses = [int(v) for v in header[1:]]
-        rows = {int(r[0]): [float(v) for v in r[1:]] for r in reader}
+        rows = {int(r[0]): [_number(v, path.name, "row of bus " + r[0]) for v in r[1:]]
+                for r in reader}
     if buses != list(range(1, N_BUS + 1)) or sorted(rows) != buses:
         raise NetworkLoadError("missing bus in %s" % path)
     return np.array([rows[i] for i in buses])
@@ -80,7 +90,8 @@ def load_network(data_dir=None):
         with open(data_dir / "demand.csv", newline="") as fh:
             reader = csv.reader(fh)
             next(reader)
-            dem = {int(r[0]): float(r[1]) for r in reader}
+            dem = {int(r[0]): _number(r[1], "demand.csv", "demand of bus " + r[0])
+                   for r in reader}
         b = _read_matrix(data_dir / "susceptance.csv")
     except (OSError, ValueError, IndexError, KeyError, StopIteration) as exc:
         raise NetworkLoadError("malformed network files: %s" % exc) from exc
@@ -96,6 +107,9 @@ def load_network(data_dir=None):
     if np.max(np.abs(np.diag(b) + off.sum(axis=1))) > 1e-9 * np.max(np.abs(b)):
         raise NetworkLoadError("susceptance diagonal must equal -row sum")
 
+    def param(key):
+        return _number(params[key], "params.csv", key)
+
     try:
         net = NetworkData(
             demand_p=demand_p,
@@ -103,14 +117,14 @@ def load_network(data_dir=None):
             generator_buses=tuple(
                 int(v) for v in params["generator_buses"].split(";")
             ),
-            cost_a=float(params["cost_a"]),
-            cost_b=float(params["cost_b"]),
-            cost_c=float(params["cost_c"]),
-            pv_unit_cost=float(params["pv_unit_cost"]),
-            p_pv_max=float(params["p_pv_max_pu"]),
-            p_g_max=float(params["p_g_max_pu"]),
-            line_p_max=float(params["line_p_max_pu"]),
-            gamma=float(params["gamma"]),
+            cost_a=param("cost_a"),
+            cost_b=param("cost_b"),
+            cost_c=param("cost_c"),
+            pv_unit_cost=param("pv_unit_cost"),
+            p_pv_max=param("p_pv_max_pu"),
+            p_g_max=param("p_g_max_pu"),
+            line_p_max=param("line_p_max_pu"),
+            gamma=param("gamma"),
         )
     except (KeyError, ValueError) as exc:
         raise NetworkLoadError("malformed params.csv: %s" % exc) from exc
@@ -121,13 +135,8 @@ def load_network(data_dir=None):
     return net
 
 
-@dataclass(frozen=True)
 class DCOPFLayout:
-    """Index map of x = [P^PV (14), P^G, X (14), theta (14), P (14 x 14)].
-
-    The offsets are class constants, not dataclass fields: slice defaults
-    are rejected as mutable on Python >= 3.11.
-    """
+    """Index map of x = [P^PV (14), P^G, X (14), theta (14), P (14 x 14)]."""
 
     dim = 14 + 1 + 14 + 14 + N_BUS * N_BUS  # 239
     ppv = slice(0, 14)
@@ -139,15 +148,6 @@ class DCOPFLayout:
     def flow_index(self, i, j):
         """Flat index of P_ij for 0-based buses i, j (row-major)."""
         return self.flow.start + N_BUS * i + j
-
-    def pack(self, ppv, pg, x_bin, theta, flow):
-        x = np.empty(self.dim)
-        x[self.ppv] = ppv
-        x[self.pg] = pg
-        x[self.x_bin] = x_bin
-        x[self.theta] = theta
-        x[self.flow] = np.asarray(flow).reshape(-1)
-        return x
 
     def unpack(self, x):
         return (
@@ -175,7 +175,7 @@ def build_dcopf(net):
     no point within that tolerance raises InfeasiblePolyhedronError.
     """
     gamma = net.gamma
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     lay = DCOPFLayout()
     d = lay.dim
@@ -308,10 +308,7 @@ class PlanReport:
     flags: list = field(default_factory=list)
 
     def to_json(self, **kw):
-        out = dict(self.__dict__)
-        out["pv_dispatch"] = [float(v) for v in self.pv_dispatch]
-        out["placement"] = list(self.placement)
-        return json.dumps(out, **kw)
+        return json.dumps(asdict(self), default=np.ndarray.tolist, **kw)
 
     def table(self):
         lines = [

@@ -48,21 +48,17 @@ class PolyhedralSet:
             raise ValueError("inconsistent constraint dimensions")
         if self.lo.shape != (dim,) or self.hi.shape != (dim,):
             raise ValueError("box bounds must have length dim")
-        if np.any(self.lo > self.hi):
+        if not np.all(self.lo <= self.hi):
             raise ValueError("lo must be <= hi componentwise")
         self._E_scale = np.maximum(np.linalg.norm(self.E, axis=1), 1e-300)
         self._G_scale = np.maximum(np.linalg.norm(self.G, axis=1), 1e-300)
 
     def residual(self, x):
-        """Max constraint violation at x (row-normalized linear rows)."""
-        res = 0.0
-        if len(self.e):
-            res = max(res, float(np.max(np.abs(self.E @ x - self.e) / self._E_scale)))
-        if len(self.g):
-            res = max(res, float(np.max((self.G @ x - self.g) / self._G_scale)))
-        res = max(res, float(np.max(np.maximum(self.lo - x, 0.0), initial=0.0)))
-        res = max(res, float(np.max(np.maximum(x - self.hi, 0.0), initial=0.0)))
-        return res
+        """Max constraint violation at x (row-normalized linear rows), NaN
+        when x has a NaN or an infinite coordinate at an unbounded side."""
+        return float(np.max(np.concatenate([
+            [0.0], np.abs(self.E @ x - self.e) / self._E_scale,
+            (self.G @ x - self.g) / self._G_scale, self.lo - x, x - self.hi])))
 
 
 class PolyhedronProjector:
@@ -155,7 +151,7 @@ class PolyhedronProjector:
                 res,
                 x,
             )
-        if res > self.tol:
+        if not res <= self.tol:
             raise ProjectionError(
                 "projection residual %.3e exceeds tol %.1e" % (res, self.tol),
                 res,

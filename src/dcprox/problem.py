@@ -58,7 +58,8 @@ class ProblemSpec:
     screen: Optional[L1Screen] = None
 
     def __post_init__(self):
-        if self.lipschitz_ell < 0 or self.weak_convexity_beta < 0 or self.norm_A < 0:
+        if not (self.lipschitz_ell >= 0 and self.weak_convexity_beta >= 0
+                and self.norm_A >= 0):
             raise ValueError("lipschitz_ell, weak_convexity_beta, norm_A must be >= 0")
         shape = (self.map_A.dim_out, self.map_A.dim_in)
         if self.screen is not None and self.screen.matrix.shape != shape:

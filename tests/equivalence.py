@@ -15,6 +15,8 @@ It prints one JSON document of hex floats and SHA-256 hashes:
   - the exit code and stdout of `dcprox check`, of `dcprox opf-run` with the
     default config and of a one-cell `dcprox cs-run` (case 1, proposed
     solver, one seed; without the wall-time column);
+  - the exit code and the hash of every file of the bundle `dcprox gen`
+    writes at seed 0 for case 1, case 1 with the Lorentzian loss and case 5;
   - status, iterations, objective and hashes of x and of the trace of every
     solve of least-squares cases 1/2/3/5/6 and Lorentzian cases 1/5, seeds
     0-3, with each of the three solvers.
@@ -105,6 +107,21 @@ def cs_run_stdout():
     return out
 
 
+def gen_bundles():
+    out = {}
+    for args in (["--case", "1"], ["--case", "1", "--loss", "lorentzian"],
+                 ["--case", "5"]):
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(["gen", "--seed", "0", "--out", tmp] + args)
+            files = {}
+            for name in sorted(os.listdir(tmp)):
+                with open(os.path.join(tmp, name), "rb") as fh:
+                    files[name] = hashlib.sha256(fh.read()).hexdigest()
+        out[" ".join(args)] = {"exit": rc, "files": files}
+    return out
+
+
 def solves():
     out = []
     for loss_kind, cases in SOLVES.items():
@@ -137,6 +154,7 @@ def main():
         "check": cli_stdout(["check"]),
         "cs_run": cs_run_stdout(),
         "opf_run_stdout": cli_stdout(["opf-run"]),
+        "gen": gen_bundles(),
         "solves": solves(),
     }
     json.dump(doc, sys.stdout, indent=1, sort_keys=True)

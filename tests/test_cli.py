@@ -123,6 +123,10 @@ def test_cli_cs_run_fails_at_config_load(tmp_path):
     (bench.OPFConfig, "solvers", "gppa, newton"),
     (bench.OPFConfig, "base_seed", "zero"),
     (bench.OPFConfig, "opf_starts", "-3x"),
+    # a repeated item ran its cells twice and printed duplicate rows
+    (bench.SweepConfig, "cases", "1, 1"),
+    (bench.SweepConfig, "solvers", "gppa, proposed, gppa"),
+    (bench.OPFConfig, "solvers", "pdcae, pdcae"),
 ])
 def test_config_bad_value_names_its_key(cls, key, value):
     # every field but the output path, which takes any string
@@ -185,6 +189,30 @@ def test_sweep_records_cell_failures(monkeypatch):
     res = bench.run_cs_sweep(cfg)
     assert res.rows[0]["n_errors"] == 1
     assert "injected" in res.runs[0].failure
+
+
+def test_sweep_records_a_cell_whose_setup_fails(tmp_path, monkeypatch, capsys):
+    # case 5's instance fails to build: each of its solvers records the
+    # failure, case 1 runs on, and cs-run reports the failed cells
+    make_instance = cs.make_instance
+
+    def failing_case_5(case, *args):
+        if case == 5:
+            raise RuntimeError("injected")
+        return make_instance(case, *args)
+
+    monkeypatch.setattr(cs, "make_instance", failing_case_5)
+    p = tmp_path / "cfg.txt"
+    p.write_text("cases = 1, 5\nsolvers = gppa, proposed\nn_seeds = 1\n")
+    assert cli.main(["cs-run", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "2 cell(s) failed\n"
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    assert [(r["case"], r["n_errors"]) for r in rows] == [
+        ("1", "0"), ("1", "0"), ("5", "1"), ("5", "1")]
+    res = bench.run_cs_sweep(bench.SweepConfig(cases=(5,), solvers=("gppa",),
+                                               n_seeds=1))
+    assert res.runs[0].failure == "RuntimeError('injected')"
 
 
 @pytest.mark.parametrize("command, line", [

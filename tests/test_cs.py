@@ -54,6 +54,13 @@ def test_gen_gaussian_column_major_equals_row_major_draw(mode, m, d):
     assert norm_A == gram_spectrum(R)[1]
 
 
+def test_gen_gaussian_rejects_a_rank_deficient_draw(monkeypatch):
+    monkeypatch.setattr(cs, "gram_spectrum",
+                        lambda A: (np.array([0.0, 1.0]), 1.0))
+    with pytest.raises(RuntimeError, match="not of full row rank"):
+        cs.gen_gaussian(2, 5, 0, mode="scaled")
+
+
 def test_gen_gaussian_errors():
     with pytest.raises(ValueError):
         cs.gen_gaussian(10, 5, 0, mode="scaled")

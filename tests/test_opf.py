@@ -84,13 +84,26 @@ def test_load_network_rejects_missing_bus(tmp_path):
     (d / "demand.csv").write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(opf.NetworkLoadError, match="missing bus"):
         opf.load_network(d)
+    d = _copy_data(tmp_path / "matrix")
+    lines = (d / "susceptance.csv").read_text().splitlines()
+    (d / "susceptance.csv").write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(opf.NetworkLoadError,
+                       match="missing bus in .*susceptance.csv"):
+        opf.load_network(d)
 
 
 @pytest.mark.parametrize("name, old, new, match", [
     ("params.csv", "p_g_max_pu,0.05", "p_g_max_pu,0", "capacities must be positive"),
     ("susceptance.csv", "1,-998,998", "1,-997,998", "diagonal must equal -row sum"),
     ("params.csv", "generator_buses,11", "generator_buses,0", "generator bus out of range"),
-], ids=["cap", "row-sum", "generator-bus"])
+    # NaN tripped none of the range checks, so these loaded and built
+    ("params.csv", "gamma,1", "gamma,nan", "non-finite gamma in params.csv"),
+    ("demand.csv", "\n1,7.91e-03", "\n1,nan",
+     "non-finite demand of bus 1 in demand.csv"),
+    ("susceptance.csv", "\n3,0,497,-497,", "\n3,0,497,-inf,",
+     "non-finite row of bus 3 in susceptance.csv"),
+], ids=["cap", "row-sum", "generator-bus", "nan-gamma", "nan-demand",
+        "inf-susceptance"])
 def test_load_network_rejects_bad_values(tmp_path, name, old, new, match):
     d = _copy_data(tmp_path)
     text = (d / name).read_text()
@@ -127,7 +140,7 @@ def test_layout_is_a_bijection():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(239)
     ppv, pg, xb, th, P = lay.unpack(x)
-    assert np.array_equal(lay.pack(ppv, pg, xb, th, P), x)
+    assert np.array_equal(np.concatenate([ppv, [pg], xb, th, P.ravel()]), x)
 
 
 def test_objective_pieces(built):
@@ -157,8 +170,18 @@ def test_gradient_of_g_closed_form(built):
 
 
 def test_build_rejects_bad_gamma(net):
-    with pytest.raises(ValueError):
-        opf.build_dcopf(dataclasses.replace(net, gamma=0.0))
+    for gamma in (0.0, np.nan):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            opf.build_dcopf(dataclasses.replace(net, gamma=gamma))
+
+
+def test_solve_from_nan_start_is_infeasible(built):
+    # the residual of a NaN point is NaN, which no feasibility test passes
+    spec, set_, lay = built
+    x0 = np.full(lay.dim, np.nan)
+    assert np.isnan(set_.residual(x0))
+    with pytest.raises(ValueError, match="starting point is infeasible"):
+        solve(spec, x0, SolverParams(max_iter=5))
 
 
 def test_feasible_point_properties(built, net):

@@ -79,6 +79,10 @@ def test_baseline_params_reject_nonpositive_restart_period():
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         make_spec(ell=-1.0)
+    # a NaN constant passed the sign checks and made tau_upper_bound NaN
+    for name in ("ell", "norm_a", "beta"):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            make_spec(**{name: np.nan})
     spec = make_spec()
     with pytest.raises(ValueError, match="does not match map_A"):
         dataclasses.replace(spec, screen=L1Screen(0.1, np.eye(3, 4, order="F")))

@@ -15,6 +15,9 @@ def test_validation():
         PolyhedralSet(2, G=np.ones((1, 3)), g=np.ones(1))
     with pytest.raises(ValueError):
         PolyhedralSet(2, lo=np.ones(2), hi=np.zeros(2))
+    # a NaN bound was accepted, and the projector took it as absent
+    with pytest.raises(ValueError, match="lo must be <= hi"):
+        PolyhedralSet(2, lo=[np.nan, 0.0], hi=np.ones(2))
     with pytest.raises(ValueError):
         PolyhedronProjector(PolyhedralSet(2), tol=0.0)
 
@@ -25,6 +28,35 @@ def test_residual():
     assert set_.residual(np.array([0.5, 0.5])) < 1e-15
     # the box violation of 1 at both coordinates outweighs the equality's 0
     assert set_.residual(np.array([2.0, -1.0])) == 1.0
+    # a NaN coordinate gave 0.0 and passed every feasibility test
+    assert np.isnan(set_.residual(np.array([np.nan, 0.5])))
+    # inf at a finite bound is an infinite violation; at an unbounded side
+    # inf - inf is NaN
+    with np.errstate(invalid="ignore"):
+        assert set_.residual(np.array([np.inf, 0.0])) == np.inf
+        assert np.isnan(PolyhedralSet(1).residual(np.array([-np.inf])))
+
+
+def test_projection_of_nan_fails_its_certificate():
+    set_ = PolyhedralSet(3, lo=-np.ones(3), hi=np.ones(3))
+    with pytest.raises(ProjectionError, match="residual nan exceeds") as err:
+        PolyhedronProjector(set_).project(np.full(3, np.nan))
+    assert np.isnan(err.value.residual)
+
+
+def test_feasible_point_reports_a_capped_projection_as_infeasible(monkeypatch):
+    # the origin misses the box [1, 2]^2, so the active-set method needs a
+    # step, and a cap of zero steps stops it at the origin
+    proj = PolyhedronProjector(PolyhedralSet(2, lo=np.ones(2), hi=2 * np.ones(2)))
+    capped = proj._active_set
+    monkeypatch.setattr(proj, "_active_set",
+                        lambda w_reduced, max_steps: capped(w_reduced, 0))
+    with pytest.raises(InfeasiblePolyhedronError,
+                       match=r"possibly infeasible polyhedron \(best residual "
+                             r"1.000e\+00\)") as err:
+        proj.feasible_point()
+    assert err.value.residual == 1.0
+    assert isinstance(err.value.__cause__, ProjectionError)
 
 
 def test_interior_point_is_fixed():
