@@ -61,44 +61,49 @@ def _number(text, file, key):
     return value
 
 
-def _read_matrix(path):
+def _read_rows(path, key=str):
+    """(header, {key(first cell): the other cells}) of a CSV file; a key
+    that repeats raises NetworkLoadError naming the file and the key."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        buses = [int(v) for v in header[1:]]
-        rows = {int(r[0]): [_number(v, path.name, "row of bus " + r[0]) for v in r[1:]]
-                for r in reader}
-    if buses != list(range(1, N_BUS + 1)) or sorted(rows) != buses:
-        raise NetworkLoadError("missing bus in %s" % path)
-    return np.array([rows[i] for i in buses])
+        header, rows = next(reader), {}
+        for first, *cells in reader:
+            if key(first) in rows:
+                raise NetworkLoadError("repeated key %s in %s" % (first, path.name))
+            rows[key(first)] = cells
+    return header, rows
+
+
+def _bus_rows(path, what):
+    """(header, N_BUS x k array) of a file keyed by bus, row i - 1 holding
+    the numbers of bus i."""
+    header, rows = _read_rows(path, int)
+    if sorted(rows) != list(range(1, N_BUS + 1)):
+        raise NetworkLoadError("missing bus in %s" % path.name)
+    return header, np.array([[_number(v, path.name, "%s of bus %d" % (what, i))
+                              for v in rows[i]] for i in range(1, N_BUS + 1)])
 
 
 def load_network(data_dir=None):
     """NetworkData from a directory of CSV files (bundled data by default).
 
     Reads params.csv (key,value), demand.csv (bus,active_pu) and the
-    14 x 14 bus matrix susceptance.csv, all in per-unit values.
+    14 x 14 bus matrix susceptance.csv, all in per-unit values.  A key or
+    bus that repeats, in any file, fails, as does a repeated generator bus.
     """
     if data_dir is None:
         data_dir = importlib.resources.files("dcprox") / "data"
     data_dir = pathlib.Path(str(data_dir))
     try:
-        with open(data_dir / "params.csv", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            params = {k: v for k, v in reader}
-        with open(data_dir / "demand.csv", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            dem = {int(r[0]): _number(r[1], "demand.csv", "demand of bus " + r[0])
-                   for r in reader}
-        b = _read_matrix(data_dir / "susceptance.csv")
+        params = {k: v for k, (v,) in _read_rows(data_dir / "params.csv")[1].items()}
+        (demand_p,) = _bus_rows(data_dir / "demand.csv", "demand")[1].T
+        header, b = _bus_rows(data_dir / "susceptance.csv", "row")
+        buses = list(range(1, N_BUS + 1))
+        if [int(v) for v in header[1:]] != buses or b.shape != (N_BUS, N_BUS):
+            raise NetworkLoadError("missing bus in susceptance.csv")
     except (OSError, ValueError, IndexError, KeyError, StopIteration) as exc:
         raise NetworkLoadError("malformed network files: %s" % exc) from exc
 
-    if sorted(dem) != list(range(1, N_BUS + 1)):
-        raise NetworkLoadError("missing bus in demand.csv")
-    demand_p = np.array([dem[i] for i in range(1, N_BUS + 1)])
     if np.any(demand_p < 0):
         raise NetworkLoadError("negative demand")
     if np.max(np.abs(b - b.T)) > 1e-12:
@@ -114,9 +119,7 @@ def load_network(data_dir=None):
         net = NetworkData(
             demand_p=demand_p,
             susceptance=b,
-            generator_buses=tuple(
-                int(v) for v in params["generator_buses"].split(";")
-            ),
+            generator_buses=tuple(int(v) for v in params["generator_buses"].split(";")),
             cost_a=param("cost_a"),
             cost_b=param("cost_b"),
             cost_c=param("cost_c"),
@@ -130,8 +133,12 @@ def load_network(data_dir=None):
         raise NetworkLoadError("malformed params.csv: %s" % exc) from exc
     if any(cap <= 0 for cap in (net.p_pv_max, net.p_g_max, net.line_p_max)):
         raise NetworkLoadError("capacities must be positive")
-    if not all(1 <= g <= N_BUS for g in net.generator_buses):
+    gens = net.generator_buses
+    if not all(1 <= g <= N_BUS for g in gens):
         raise NetworkLoadError("generator bus out of range")
+    repeated = [g for k, g in enumerate(gens) if g in gens[:k]]
+    if repeated:
+        raise NetworkLoadError("generator_buses repeats %d in params.csv" % repeated[0])
     return net
 
 
@@ -144,10 +151,6 @@ class DCOPFLayout:
     x_bin = slice(15, 29)
     theta = slice(29, 43)
     flow = slice(43, 239)
-
-    def flow_index(self, i, j):
-        """Flat index of P_ij for 0-based buses i, j (row-major)."""
-        return self.flow.start + N_BUS * i + j
 
     def unpack(self, x):
         return (
@@ -179,51 +182,38 @@ def build_dcopf(net):
         raise ValueError("gamma must be positive")
     lay = DCOPFLayout()
     d = lay.dim
-    gens = [g - 1 for g in net.generator_buses]
+    gens = np.array(net.generator_buses) - 1
     b = net.susceptance
     total_d = net.total_demand
+    th, fl = lay.theta.start, lay.flow.start
+    bus = np.arange(N_BUS)
+    k = np.arange(N_BUS * N_BUS)
+    i, j = np.divmod(k, N_BUS)
 
-    E_rows, e_rhs = [], []
-    # Flow physics P_ij = b_ij (theta_i - theta_j) for every ordered pair;
-    # on the diagonal the angle terms cancel, pinning P_ii = 0.
-    for i in range(N_BUS):
-        for j in range(N_BUS):
-            row = np.zeros(d)
-            row[lay.flow_index(i, j)] = 1.0
-            row[lay.theta.start + i] -= b[i, j]
-            row[lay.theta.start + j] += b[i, j]
-            E_rows.append(row)
-            e_rhs.append(0.0)
+    E = np.zeros((len(k) + 1 + N_BUS, d))
+    e = np.zeros(len(E))
+    # Flow physics P_ij = b_ij (theta_i - theta_j), row 14 i + j for every
+    # ordered pair; on the diagonal the angle terms cancel, pinning P_ii = 0.
+    E[k, fl + k] = 1.0
+    E[k, th + i] -= b[i, j]
+    E[k, th + j] += b[i, j]
     # Slack bus angle.
-    row = np.zeros(d)
-    row[lay.theta.start + gens[0]] = 1.0
-    E_rows.append(row)
-    e_rhs.append(0.0)
+    E[len(k), th + gens[0]] = 1.0
     # Nodal balance: generation minus demand equals net outflow.
-    for i in range(N_BUS):
-        row = np.zeros(d)
-        for j in range(N_BUS):
-            if j != i:
-                row[lay.flow_index(i, j)] = 1.0
-        row[lay.ppv.start + i] = -1.0
-        if i in gens:
-            row[lay.pg] = -1.0
-        E_rows.append(row)
-        e_rhs.append(-net.demand_p[i])
+    bal = len(k) + 1
+    E[bal + i[i != j], fl + k[i != j]] = 1.0
+    E[bal + bus, lay.ppv.start + bus] = -1.0
+    E[bal + gens, lay.pg] = -1.0
+    e[bal:] = -net.demand_p
 
-    G_rows, g_rhs = [], []
+    G = np.zeros((1 + N_BUS, d))
+    g = np.zeros(len(G))
     # Penetration: sum P^PV >= 0.5 sum D.
-    row = np.zeros(d)
-    row[lay.ppv] = -1.0
-    G_rows.append(row)
-    g_rhs.append(-0.5 * total_d)
+    G[0, lay.ppv] = -1.0
+    g[0] = -0.5 * total_d
     # PV output only where an indicator is on: P^PV_i <= X_i Pbar^PV.
-    for i in range(N_BUS):
-        row = np.zeros(d)
-        row[lay.ppv.start + i] = 1.0
-        row[lay.x_bin.start + i] = -net.p_pv_max
-        G_rows.append(row)
-        g_rhs.append(0.0)
+    G[1 + bus, lay.ppv.start + bus] = 1.0
+    G[1 + bus, lay.x_bin.start + bus] = -net.p_pv_max
 
     lo = np.full(d, -np.inf)
     hi = np.full(d, np.inf)
@@ -233,10 +223,7 @@ def build_dcopf(net):
     lo[lay.theta], hi[lay.theta] = -2.0 * np.pi, 2.0 * np.pi
     lo[lay.flow], hi[lay.flow] = -net.line_p_max, net.line_p_max
 
-    set_ = PolyhedralSet(
-        d, np.array(E_rows), np.array(e_rhs), np.array(G_rows), np.array(g_rhs),
-        lo, hi,
-    )
+    set_ = PolyhedralSet(d, E, e, G, g, lo, hi)
     projector = PolyhedronProjector(set_, tol=PROJECTION_TOL)
     projector.feasible_point()
 

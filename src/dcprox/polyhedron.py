@@ -46,6 +46,9 @@ class PolyhedralSet:
         self.hi = np.full(dim, np.inf) if hi is None else np.asarray(hi, float).copy()
         if self.E.shape != (len(self.e), dim) or self.G.shape != (len(self.g), dim):
             raise ValueError("inconsistent constraint dimensions")
+        for name in ("E", "e", "G", "g"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError("%s has a non-finite entry" % name)
         if self.lo.shape != (dim,) or self.hi.shape != (dim,):
             raise ValueError("box bounds must have length dim")
         if not np.all(self.lo <= self.hi):
@@ -72,7 +75,7 @@ class PolyhedronProjector:
     def __init__(self, set_, tol=1e-8):
         self.set = set_
         self.tol = float(tol)
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         self._reduce()
 

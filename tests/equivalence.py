@@ -10,6 +10,9 @@ byte for byte,
 It prints one JSON document of hex floats and SHA-256 hashes:
   - the sweep CSVs of least-squares cases 1/2/5/6 and Lorentzian cases 1/5,
     3 seeds, without the nondeterministic wall-time column;
+  - the OPF model: hashes of the bytes of E, e, G, g, lo and hi of the
+    placement polyhedron that opf.build_dcopf makes of the bundled network,
+    and the repr of opf.load_network();
   - the 30-start run_opf: each start's objective, iterations and Lyapunov
     violation, a hash of best_x, the placement, rate_r2 and the plan JSON;
   - the exit code and stdout of `dcprox check`, of `dcprox opf-run` with the
@@ -22,8 +25,8 @@ It prints one JSON document of hex floats and SHA-256 hashes:
     0-3, with each of the three solvers.
 It uses only bench.SweepConfig, bench.OPFConfig, bench.run_cs_sweep,
 bench.results_csv_text, bench.run_opf, bench._solve_cell, cs.make_instance,
-cs.build_cs_problem and cli.main, so it runs unchanged on both sides of a
-change that keeps those.
+cs.build_cs_problem, opf.load_network, opf.build_dcopf and cli.main, so it
+runs unchanged on both sides of a change that keeps those.
 """
 
 import contextlib
@@ -36,7 +39,7 @@ import tempfile
 
 import numpy as np
 
-from dcprox import bench, cli, cs
+from dcprox import bench, cli, cs, opf
 
 SWEEPS = {"least-squares": (1, 2, 5, 6), "lorentzian": (1, 5)}
 SWEEP_SEEDS = 3
@@ -69,6 +72,15 @@ def start_fields(start):
     bench.RunRecord of one OPF start."""
     return [start.solver, start.start, float(start.objective).hex(),
             start.iterations, float(start.lyapunov_violation).hex()]
+
+
+def opf_model():
+    net = opf.load_network()
+    _, set_, _ = opf.build_dcopf(net)
+    out = {name: array_digest(getattr(set_, name))
+           for name in ("E", "e", "G", "g", "lo", "hi")}
+    out["network"] = repr(net)
+    return out
 
 
 def opf_run():
@@ -150,6 +162,7 @@ def solves():
 def main():
     doc = {
         "sweep_csvs": sweep_csvs(),
+        "opf_model": opf_model(),
         "opf_run": opf_run(),
         "check": cli_stdout(["check"]),
         "cs_run": cs_run_stdout(),

@@ -78,6 +78,8 @@ def test_gen_dct_rows_of_orthonormal_transform():
     # every generated row appears among the rows of the full transform
     for row in A:
         assert np.min(np.max(np.abs(full - row[None, :]), axis=1)) < 1e-12
+    with pytest.raises(ValueError, match="need m <= d"):
+        cs.gen_dct(d + 1, d, 3)
 
 
 # (31, 32), (32, 32) and (33, 33) take row 0, row d/2 and every pair k, d - k
@@ -147,6 +149,11 @@ def test_make_instance_deterministic_and_noiseless():
     assert (a.m, a.d, a.s) == (180, 640, 20)
     c = cs.make_instance(1, 6, 0.1, "least-squares")
     assert not np.array_equal(a.A.dense(), c.A.dense())
+
+
+def test_make_instance_rejects_unknown_matrix_kind():
+    with pytest.raises(ValueError, match="unknown matrix kind 'fourier'"):
+        cs.make_instance(("fourier", 20, 50, 4), 0, 0.1, "least-squares")
 
 
 def test_make_instance_per_loss_ensembles():

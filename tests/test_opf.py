@@ -90,6 +90,14 @@ def test_load_network_rejects_missing_bus(tmp_path):
     with pytest.raises(opf.NetworkLoadError,
                        match="missing bus in .*susceptance.csv"):
         opf.load_network(d)
+    # every row one column short, under a full header: the 14 x 13 matrix
+    # raised a bare ValueError in the symmetry check
+    d = _copy_data(tmp_path / "column")
+    header, *rows = (d / "susceptance.csv").read_text().splitlines()
+    rows = [row.rsplit(",", 1)[0] for row in rows]
+    (d / "susceptance.csv").write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(opf.NetworkLoadError, match="missing bus in susceptance.csv"):
+        opf.load_network(d)
 
 
 @pytest.mark.parametrize("name, old, new, match", [
@@ -102,8 +110,17 @@ def test_load_network_rejects_missing_bus(tmp_path):
      "non-finite demand of bus 1 in demand.csv"),
     ("susceptance.csv", "\n3,0,497,-497,", "\n3,0,497,-inf,",
      "non-finite row of bus 3 in susceptance.csv"),
+    # a repeated row or key silently replaced the first one, and a repeated
+    # generator bus doubled the fixed cost
+    ("demand.csv", "\n2,0\n", "\n2,0\n2,5e-3\n", "repeated key 2 in demand.csv"),
+    ("susceptance.csv", "\n4,0,1110,", "\n03" + ",0" * 14 + "\n4,0,1110,",
+     "repeated key 03 in susceptance.csv"),
+    ("params.csv", "gamma,1", "gamma,1\ngamma,2", "repeated key gamma in params.csv"),
+    ("params.csv", "generator_buses,11", "generator_buses,11;11",
+     "generator_buses repeats 11 in params.csv"),
 ], ids=["cap", "row-sum", "generator-bus", "nan-gamma", "nan-demand",
-        "inf-susceptance"])
+        "inf-susceptance", "repeated-demand", "repeated-susceptance",
+        "repeated-param", "repeated-generator-bus"])
 def test_load_network_rejects_bad_values(tmp_path, name, old, new, match):
     d = _copy_data(tmp_path)
     text = (d / name).read_text()
@@ -134,13 +151,15 @@ def test_layout_is_a_bijection():
            + list(range(lay.theta.start, lay.theta.stop))
            + list(range(lay.flow.start, lay.flow.stop)))
     assert sorted(idx) == list(range(239))
-    assert lay.flow_index(0, 0) == 43
-    assert lay.flow_index(13, 13) == 238
 
     rng = np.random.default_rng(0)
     x = rng.standard_normal(239)
     ppv, pg, xb, th, P = lay.unpack(x)
     assert np.array_equal(np.concatenate([ppv, [pg], xb, th, P.ravel()]), x)
+    # P_ij is entry flow.start + 14 i + j, so P_11 is x[43] and P_14,14 x[238]
+    for i, j in itertools.product(range(opf.N_BUS), repeat=2):
+        assert P[i, j] == x[lay.flow.start + 14 * i + j]
+    assert (P[0, 0], P[13, 13]) == (x[43], x[238])
 
 
 def test_objective_pieces(built):
@@ -252,6 +271,8 @@ def test_postprocess_empty_and_fractional(net):
     report = opf.postprocess_solution(x, net, lay)
     assert report.fractional
     assert "unrounded relaxation" in report.flags
+    assert report.table().splitlines()[-1] == (
+        "flags             : unrounded relaxation")
 
 
 def test_plan_report_serialization(net):

@@ -59,6 +59,8 @@ def test_solver_params_validation():
         SolverParams(max_iter=0)
     with pytest.raises(ValueError):
         SolverParams(restart_period=0)
+    with pytest.raises(ValueError, match="stop_rel_tol must be nonnegative"):
+        SolverParams(stop_rel_tol=-1e-8)
     SolverParams(restart_period=None)  # no restart is allowed
     # a NaN stop_rel_tol passed every check and ran the solve to max_iter
     for name in ("lambda_bar", "mu_bar", "delta", "stop_rel_tol"):

@@ -18,8 +18,20 @@ def test_validation():
     # a NaN bound was accepted, and the projector took it as absent
     with pytest.raises(ValueError, match="lo must be <= hi"):
         PolyhedralSet(2, lo=[np.nan, 0.0], hi=np.ones(2))
-    with pytest.raises(ValueError):
-        PolyhedronProjector(PolyhedralSet(2), tol=0.0)
+    with pytest.raises(ValueError, match="box bounds must have length dim"):
+        PolyhedralSet(2, lo=np.zeros(3))
+    # non-finite rows were accepted and failed only at projection (NaN) or
+    # in the projector's SVD (inf)
+    for name, kw in [("G", dict(G=[[np.nan, 1.0]], g=[1.0])),
+                     ("g", dict(G=[[1.0, 1.0]], g=[np.nan])),
+                     ("e", dict(E=[[1.0, 1.0]], e=[np.nan])),
+                     ("E", dict(E=[[np.inf, 1.0]], e=[1.0]))]:
+        with pytest.raises(ValueError, match="%s has a non-finite entry" % name):
+            PolyhedralSet(2, lo=-np.ones(2), hi=np.ones(2), **kw)
+    # a NaN tol ran every projection to its step cap
+    for tol in (0.0, np.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            PolyhedronProjector(PolyhedralSet(2), tol=tol)
 
 
 def test_residual():
