@@ -3,7 +3,6 @@
 import csv
 import io
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,7 +206,7 @@ class OPFResult:
     best_x: np.ndarray
     stats: dict                 # per solver: _summary of its starts
     starts: list                # per (solver, start) RunRecord
-    rate_r2: float              # tail log-linear fit of proposed step norms
+    rate_r2: float              # tail fit R^2 of the longest proposed start
 
 
 def run_opf(cfg):
@@ -217,9 +216,9 @@ def run_opf(cfg):
     the feasible set, then every solver of cfg.solvers runs from it.  All
     starts share one model and its projector.  A start whose projection or
     solve raises is recorded with its failure and left out of the stats
-    and the plan; the rate diagnostic runs from the first projected start,
-    and if it raises, a RuntimeWarning names the failure and rate_r2 stays
-    NaN.
+    and the plan.  rate_r2 is psg.tail_linear_fit's R^2 over the step norms
+    of the proposed start with the most iterations (the first on a tie); it
+    is NaN without one, or with fewer than 3 step norms above 1e-12.
     """
     # opened before any solve, so that a bad path fails first
     with open(cfg.out_json or os.devnull, "w") as fh:
@@ -237,7 +236,7 @@ def run_opf(cfg):
                 x0s.append(_failure(exc))
 
         starts, stats = [], {}
-        best_objective, best_x = np.inf, None
+        best_objective, best_x, steps = np.inf, None, []
         for solver in cfg.solvers:
             cell = [RunRecord("opf", cfg.base_seed, solver, start=k)
                     for k in range(cfg.opf_starts)]
@@ -246,24 +245,15 @@ def run_opf(cfg):
                     rec.failure = x0
                     continue
                 rep = _run(rec, spec, x0, OPF_MAX_ITER)
-                if (solver == "proposed" and rep is not None
-                        and rep.objective < best_objective):
-                    best_objective, best_x = rep.objective, rep.x
+                if solver == "proposed" and rep is not None:
+                    if rep.objective < best_objective:
+                        best_objective, best_x = rep.objective, rep.x
+                    if rep.iterations > len(steps):    # one norm per step
+                        steps = rep.trace.step_norms[1:]
             stats[solver] = _summary(cell)
             starts += cell
 
-        rate_r2 = float("nan")
-        projected = [x0 for x0 in x0s if not isinstance(x0, str)]
-        if "proposed" in cfg.solvers and projected:
-            # Diagnostic run with the stopping rule disabled, so the tail
-            # fit sees the full step-norm history rather than 2-3 points.
-            try:
-                diag = psg.solve(spec, projected[0],
-                                 SolverParams(max_iter=60, stop_rel_tol=0.0))
-                _, rate_r2, _ = psg.tail_linear_fit(diag.trace.step_norms[1:])
-            except Exception as exc:
-                warnings.warn("rate diagnostic failed: " + _failure(exc),
-                              RuntimeWarning)
+        _, rate_r2, _ = psg.tail_linear_fit(steps)
         report = None
         if best_x is not None:
             report = opf.postprocess_solution(best_x, net, lay)

@@ -62,14 +62,23 @@ def load_config(cls, path):
     return config_from_dict(cls, parse_config(path)) if path else cls()
 
 
+def report_failures(records, noun):
+    """Print the count of failed bench.RunRecords, then one line each, to
+    stderr; return the exit code, 1 if any failed."""
+    failed = [r for r in records if r.failure]
+    if failed:
+        print("%d %s(s) failed" % (len(failed), noun), file=sys.stderr)
+    for r in failed:
+        print("case %s seed %d solver %s start %d: %s"
+              % (r.case, r.seed, r.solver, r.start, r.failure), file=sys.stderr)
+    return 1 if failed else 0
+
+
 def cmd_cs_run(args):
     cfg = load_config(bench.SweepConfig, args.config)
     result = bench.run_cs_sweep(cfg)
     print(bench.results_csv_text(result.rows), end="")
-    n_errors = sum(row["n_errors"] for row in result.rows)
-    if n_errors:
-        print("%d cell(s) failed" % n_errors, file=sys.stderr)
-    return 1 if n_errors else 0
+    return report_failures(result.runs, "cell")
 
 
 def cmd_opf_run(args):
@@ -82,10 +91,7 @@ def cmd_opf_run(args):
     print("step-norm tail fit R^2: %.4f (diagnostic only)" % result.rate_r2)
     if result.best_report is not None:
         print(result.best_report.table())
-    n_failed = sum(stat["n_errors"] for stat in result.stats.values())
-    if n_failed:
-        print("%d start(s) failed" % n_failed, file=sys.stderr)
-    return 1 if n_failed else 0
+    return report_failures(result.starts, "start")
 
 
 def cmd_check(args):

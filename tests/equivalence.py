@@ -8,6 +8,9 @@ byte for byte,
     cmp parent.json change.json
 
 It prints one JSON document of hex floats and SHA-256 hashes:
+  - the environment: the Python and numpy versions, OPENBLAS_NUM_THREADS and
+    the number of usable CPUs, since the last bits of several outputs depend
+    on the BLAS thread count (compare outputs made under the same one);
   - the sweep CSVs of least-squares cases 1/2/5/6 and Lorentzian cases 1/5,
     3 seeds, without the nondeterministic wall-time column;
   - the OPF model: hashes of the bytes of E, e, G, g, lo and hi of the
@@ -46,6 +49,15 @@ SWEEP_SEEDS = 3
 SOLVES = {"least-squares": (1, 2, 3, 5, 6), "lorentzian": (1, 5)}
 SOLVE_SEEDS = range(4)
 WALL_TIME_COLUMN = bench.CSV_COLUMNS.index("mean_wall_time (nondeterministic)")
+
+
+def env():
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "cpus": len(os.sched_getaffinity(0)),
+    }
 
 
 def array_digest(values):
@@ -161,6 +173,7 @@ def solves():
 
 def main():
     doc = {
+        "env": env(),
         "sweep_csvs": sweep_csvs(),
         "opf_model": opf_model(),
         "opf_run": opf_run(),

@@ -372,3 +372,20 @@ def test_build_dcopf_makes_one_projector(net, monkeypatch):
     monkeypatch.setattr(PolyhedronProjector, "__init__", counting_init)
     opf.build_dcopf(net)
     assert len(made) == 1
+
+
+def test_run_opf_solves_each_start_once(monkeypatch):
+    # every projection is the model's feasible point, a start or a step of
+    # a solve, so no start is solved twice; the rate diagnostic reads the
+    # longest proposed start, whose fit is finite at base seed 1
+    calls = []
+    project = PolyhedronProjector.project
+
+    def counting_project(self, w):
+        calls.append(w)
+        return project(self, w)
+
+    monkeypatch.setattr(PolyhedronProjector, "project", counting_project)
+    res = bench.run_opf(bench.OPFConfig(opf_starts=30, base_seed=1))
+    assert np.isfinite(res.rate_r2)
+    assert len(calls) == 1 + 30 + sum(s.iterations for s in res.starts)
