@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .problem import check_counts
 from .psg import iterate, momentum_table
 
 
@@ -23,12 +24,9 @@ class BaselineParams:
             raise ValueError("step_tau and stop_rel_tol must be finite")
         if self.step_tau <= 0:
             raise ValueError("step_tau must be positive")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
         if self.stop_rel_tol < 0:
             raise ValueError("stop_rel_tol must be nonnegative")
-        if self.restart_period is not None and self.restart_period <= 0:
-            raise ValueError("restart_period must be positive or None")
+        check_counts(self.max_iter, self.restart_period)
 
 
 def gppa_solve(spec, x0, params):
@@ -42,15 +40,13 @@ def gppa_solve(spec, x0, params):
 def pdcae_solve(spec, x0, params):
     """Proximal difference-of-convex iteration with FISTA-type momentum.
 
-    y_n = x_n + theta_n (x_n - x_{n-1}) with theta_n = (kappa_{n-1}-1)/kappa_n
-    (reset every restart_period iterations);
+    y_n = x_n + theta_n (x_n - x_{n-1}) with theta_n = (kappa_{n-1}-1)/kappa_n,
+    the ratios of psg.momentum_table (reset every restart_period iterations);
     x_{n+1} = prox_{tau (f + i_C)}(y_n - tau grad(h o A)(y_n) + tau g_n),
     where g_n is taken at x_n.  Requires convex f, h o A, and g; this is a
     caller obligation, not checked here.  Without params.extrapolation,
     theta_n = 0 and this is GPPA.
     """
-    if not params.extrapolation:
-        return gppa_solve(spec, x0, params)
-    thetas, _ = momentum_table(1.0, 0.0, params.step_tau,
-                               params.restart_period, params.max_iter)
+    thetas = (momentum_table(params.restart_period, params.max_iter)
+              if params.extrapolation else [0.0])
     return iterate(spec, x0, params, params.step_tau, thetas, thetas)

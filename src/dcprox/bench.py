@@ -92,9 +92,12 @@ class RunRecord:
 
 
 def _solve_cell(spec, x0, solver, max_iter):
-    base_tau = 1.0 / (spec.lipschitz_ell * spec.norm_A**2)
     if solver == "proposed":
         return psg.solve(spec, x0, SolverParams(max_iter=max_iter))
+    lipschitz = spec.lipschitz_ell * spec.norm_A**2  # of grad (h o A)
+    if lipschitz == 0:
+        raise ValueError("baseline step 1/(ell ||A||^2) needs ell ||A||^2 > 0")
+    base_tau = 1.0 / lipschitz
     params = baselines.BaselineParams(
         step_tau=0.8 * base_tau if solver == "gppa" else base_tau,
         max_iter=max_iter, extrapolation=solver == "pdcae",

@@ -1,6 +1,7 @@
 """Problem and parameter data model shared by all solvers."""
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -58,9 +59,10 @@ class ProblemSpec:
     screen: Optional[L1Screen] = None
 
     def __post_init__(self):
-        if not (self.lipschitz_ell >= 0 and self.weak_convexity_beta >= 0
-                and self.norm_A >= 0):
-            raise ValueError("lipschitz_ell, weak_convexity_beta, norm_A must be >= 0")
+        if not all(0 <= v < math.inf for v in (
+                self.lipschitz_ell, self.weak_convexity_beta, self.norm_A)):
+            raise ValueError("lipschitz_ell, weak_convexity_beta, norm_A must be >= 0"
+                             " and finite")
         shape = (self.map_A.dim_out, self.map_A.dim_in)
         if self.screen is not None and self.screen.matrix.shape != shape:
             raise ValueError("screen matrix shape %s does not match map_A %s"
@@ -94,10 +96,24 @@ class SolverParams:
             raise ValueError("lambda_bar and mu_bar must be nonnegative")
         if self.stop_rel_tol < 0:
             raise ValueError("stop_rel_tol must be nonnegative")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
-        if self.restart_period is not None and self.restart_period <= 0:
-            raise ValueError("restart_period must be positive or None")
+        check_counts(self.max_iter, self.restart_period)
+
+
+def check_counts(max_iter, restart_period):
+    """The max_iter and restart_period checks of SolverParams and
+    BaselineParams: positive integers (numpy integers too, as
+    operator.index takes them); restart_period None means no restart."""
+    try:
+        operator.index(max_iter)
+        if restart_period is not None:
+            operator.index(restart_period)
+    except TypeError:
+        raise ValueError("max_iter and restart_period must be integers: %r, %r"
+                         % (max_iter, restart_period)) from None
+    if max_iter <= 0:
+        raise ValueError("max_iter must be positive")
+    if restart_period is not None and restart_period <= 0:
+        raise ValueError("restart_period must be positive or None")
 
 
 def tau_upper_bound(spec, params):
@@ -111,8 +127,8 @@ def tau_upper_bound(spec, params):
         + spec.lipschitz_ell * spec.norm_A**2 * (2.0 * params.lambda_bar + 1.0)
         + 2.0 * params.mu_bar
     )
-    if denom <= 0:
-        raise ValueError("step-size rule degenerate")
+    if not 0 < denom < math.inf:
+        raise ValueError("step-size rule degenerate: denominator %r" % denom)
     return 1.0 / denom
 
 

@@ -16,26 +16,21 @@ def lyapunov_c(spec, params):
     )
 
 
-def momentum_table(lambda_bar, mu_bar, tau, restart_period, max_iter):
-    """(lambdas, mus) of the FISTA-type schedule for iterations 0, 1, ...
+def momentum_table(restart_period, max_iter):
+    """Ratios r_n = (kappa_{n-1} - 1) / kappa_n of the FISTA-type schedule.
 
-    lambda_n = lambda_bar (kappa_{n-1} - 1) / kappa_n and
-    mu_n = mu_bar tau (kappa_{n-1} - 1) / kappa_n, with kappa_{-1} = kappa_0 = 1
-    and kappa_{n+1} = (1 + sqrt(1 + 4 kappa_n^2)) / 2.  The kappas reset to 1
-    every restart_period iterations, so one period (or max_iter steps when
-    restart_period is None) holds every value; iteration n uses entry
-    n % len(lambdas).
+    kappa_{-1} = kappa_0 = 1 and kappa_{n+1} = (1 + sqrt(1 + 4 kappa_n^2)) / 2,
+    so 0 <= r_n < 1.  The kappas reset to 1 every restart_period iterations,
+    so one period (or max_iter steps when restart_period is None) holds every
+    value; iteration n uses entry n % len(table).  The proposed solver takes
+    lambda_n = lambda_bar r_n and mu_n = mu_bar tau r_n, pDCAe theta_n = r_n.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     kappa_prev = kappa = 1.0
-    lams, mus = [], []
+    ratios = []
     for _ in range(min(restart_period or max_iter, max_iter)):
-        ratio = (kappa_prev - 1.0) / kappa
-        lams.append(float(lambda_bar * ratio))
-        mus.append(float(mu_bar * tau * ratio))
+        ratios.append((kappa_prev - 1.0) / kappa)
         kappa_prev, kappa = kappa, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * kappa**2))
-    return lams, mus
+    return ratios
 
 
 EPS = np.finfo(float).eps
@@ -101,8 +96,10 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
     as lams).  The gradient of h o A is taken at u_n = x_n + lam (x_n -
     x_{n-1}) and the prox at v_n = x_n + mu (x_n - x_{n-1}).  A u_n comes
     from the cached A x_n and A x_{n-1}, and F(x_{n+1}) from the one fresh
-    product A x_{n+1}.  c and delta set the monitored Lyapunov decrease; a
-    NaN violation is reported as NaN.  A failure of the step at iteration n
+    product A x_{n+1}.  The loop keeps only F(x_n), s_n = ||x_n - x_{n-1}||
+    and (with keep_iterates) x_n; after it, the report derives the Lyapunov
+    values F(x_n) + c s_n^2 and their largest violation of a decrease by
+    delta s_n^2 (NaN if any is NaN).  A failure of the step at iteration n
     is re-raised, chained, as RuntimeError("<oracle> failed at iteration n"),
     naming subgrad_g, grad_h, the A* product (full or on columns) or prox_fC.
 
@@ -117,16 +114,14 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
 
     Ax = spec.map_A.apply(x)
     f0 = float(spec.objective(x, Ax))
-    trace = IterateTrace(objective=[f0], step_norms=[0.0], lyapunov=[f0],
-                         iterates=[x.copy()] if params.keep_iterates else None)
+    objective, step_norms = [f0], [0.0]
+    iterates = [x.copy()] if params.keep_iterates else None
 
     period = len(lams)
     screen, ref = spec.screen, None
     d = spec.map_A.dim_in
     x_prev, Ax_prev = x, Ax
     status = "max-iter"
-    iterations = 0
-    max_violation = 0.0
     t0 = time.perf_counter()
     for n in range(params.max_iter):
         k = n % period
@@ -161,35 +156,33 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
         if not math.isfinite(step) and not np.isfinite(x_next).all():
             raise FloatingPointError("non-finite iterate at iteration %d" % n)
         Ax_next = spec.map_A.apply(x_next)
-        fval = float(spec.objective(x_next, Ax_next))
-        lyap = fval + c * step * step
-        violation = lyap + delta * step * step - trace.lyapunov[-1]
-        if violation > max_violation or math.isnan(violation):
-            max_violation = violation
-        trace.objective.append(fval)
-        trace.step_norms.append(step)
-        trace.lyapunov.append(lyap)
-        if trace.iterates is not None:
-            trace.iterates.append(x_next.copy())
+        objective.append(float(spec.objective(x_next, Ax_next)))
+        step_norms.append(step)
+        if iterates is not None:
+            iterates.append(x_next.copy())
 
         xn_norm = math.sqrt(x @ x)
         rel = step / xn_norm if xn_norm > 0 else step
         x_prev, x = x, x_next
         Ax_prev, Ax = Ax, Ax_next
-        iterations = n + 1
         if n >= 1 and rel < params.stop_rel_tol:
             status = "converged"
             break
 
+    wall_time = time.perf_counter() - t0
+    lyapunov = [f0] + [f + c * s * s for f, s in zip(objective[1:], step_norms[1:])]
+    L, S = np.array(lyapunov), np.array(step_norms)
+    with np.errstate(invalid="ignore", over="ignore"):  # silent, like Python floats
+        violation = L[1:] + delta * S[1:] * S[1:] - L[:-1]
     return SolveReport(
         x=x,
-        objective=trace.objective[-1],
-        iterations=iterations,
+        objective=objective[-1],
+        iterations=len(step_norms) - 1,
         status=status,
-        trace=trace,
+        trace=IterateTrace(objective, step_norms, lyapunov, iterates),
         lyapunov_c=c,
-        max_lyapunov_violation=max_violation,
-        wall_time=time.perf_counter() - t0,
+        max_lyapunov_violation=float(np.max(violation, initial=0.0)),
+        wall_time=wall_time,
     )
 
 
@@ -200,14 +193,15 @@ def solve(spec, x0, params):
     params.stop_rel_tol (tested from the second update on; absolute step
     norm is used whenever ||x_n|| = 0) or after params.max_iter updates.
     Each iteration costs one A product, one A* product, one prox_fC and
-    one subgrad_g call; F(x0) costs one more A product.
+    one subgrad_g call; F(x0) costs one more A product.  The momenta are
+    lambda_bar r_n and mu_bar tau_bar r_n, r_n the ratios of momentum_table.
     """
     tau_bar = tau_upper_bound(spec, params)
-    lams, mus = momentum_table(params.lambda_bar, params.mu_bar, tau_bar,
-                               params.restart_period, params.max_iter)
-    assert all(0.0 <= lam <= params.lambda_bar for lam in lams)
-    assert all(0.0 <= mu <= params.mu_bar * tau_bar for mu in mus)
-    return iterate(spec, x0, params, tau_bar, lams, mus,
+    ratios = momentum_table(params.restart_period, params.max_iter)
+    assert all(0.0 <= r < 1.0 for r in ratios)
+    return iterate(spec, x0, params, tau_bar,
+                   [params.lambda_bar * r for r in ratios],
+                   [params.mu_bar * tau_bar * r for r in ratios],
                    c=lyapunov_c(spec, params), delta=params.delta)
 
 

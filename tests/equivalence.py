@@ -8,9 +8,10 @@ byte for byte,
     cmp parent.json change.json
 
 It prints one JSON document of hex floats and SHA-256 hashes:
-  - the environment: the Python and numpy versions, OPENBLAS_NUM_THREADS and
-    the number of usable CPUs, since the last bits of several outputs depend
-    on the BLAS thread count (compare outputs made under the same one);
+  - the environment: the Python and numpy versions, the name and version of
+    numpy's BLAS, OPENBLAS_NUM_THREADS and the number of usable CPUs, since
+    the last bits of several outputs depend on the BLAS thread count (compare
+    outputs made under the same one);
   - the sweep CSVs of least-squares cases 1/2/5/6 and Lorentzian cases 1/5,
     3 seeds, without the nondeterministic wall-time column;
   - the OPF model: hashes of the bytes of E, e, G, g, lo and hi of the
@@ -23,9 +24,10 @@ It prints one JSON document of hex floats and SHA-256 hashes:
     solver, one seed; without the wall-time column);
   - the exit code and the hash of every file of the bundle `dcprox gen`
     writes at seed 0 for case 1, case 1 with the Lorentzian loss and case 5;
-  - status, iterations, objective and hashes of x and of the trace of every
-    solve of least-squares cases 1/2/3/5/6 and Lorentzian cases 1/5, seeds
-    0-3, with each of the three solvers.
+  - status, iterations, objective, ||x||, hashes of x, of its zero pattern
+    (the int64 indices of its nonzeros) and of the trace of every solve of
+    least-squares cases 1/2/3/5/6 and Lorentzian cases 1/5, seeds 0-3, with
+    each of the three solvers.
 It uses only bench.SweepConfig, bench.OPFConfig, bench.run_cs_sweep,
 bench.results_csv_text, bench.run_opf, bench._solve_cell, cs.make_instance,
 cs.build_cs_problem, opf.load_network, opf.build_dcopf and cli.main, so it
@@ -52,9 +54,11 @@ WALL_TIME_COLUMN = bench.CSV_COLUMNS.index("mean_wall_time (nondeterministic)")
 
 
 def env():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version")},
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "cpus": len(os.sched_getaffinity(0)),
     }
@@ -160,12 +164,15 @@ def solves():
                     trace = rep.trace
                     steps = np.concatenate([trace.objective, trace.step_norms,
                                             trace.lyapunov])
+                    support = np.flatnonzero(rep.x).astype(np.int64)
                     out.append({
                         "cell": [loss_kind, case, seed, solver],
                         "status": rep.status,
                         "iterations": rep.iterations,
                         "objective": float(rep.objective).hex(),
                         "x": array_digest(rep.x),
+                        "support": hashlib.sha256(support.tobytes()).hexdigest(),
+                        "norm_x": float(np.linalg.norm(rep.x)).hex(),
                         "trace": array_digest(steps),
                     })
     return out

@@ -24,6 +24,10 @@ def test_params_validation():
             BaselineParams(step_tau=bad)
         with pytest.raises(ValueError, match="must be finite"):
             BaselineParams(step_tau=0.1, stop_rel_tol=bad)
+    for bad in ({"max_iter": 10.0}, {"restart_period": 7.5}):
+        with pytest.raises(ValueError, match="must be integers"):
+            BaselineParams(step_tau=0.1, **bad)
+    BaselineParams(step_tau=0.1, max_iter=np.int64(10), restart_period=np.int32(7))
 
 
 def test_gppa_single_step_formula():

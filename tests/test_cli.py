@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from dcprox import bench, cli, cs
+from dcprox.linop import LinearMap
 from dcprox.polyhedron import PolyhedronProjector, ProjectionError
+from dcprox.problem import ProblemSpec
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -189,6 +191,24 @@ def test_sweep_records_cell_failures(monkeypatch):
     res = bench.run_cs_sweep(cfg)
     assert res.rows[0]["n_errors"] == 1
     assert "injected" in res.runs[0].failure
+
+
+def test_solve_cell_with_affine_h_runs_only_the_proposed_solver():
+    # h(z) = <b, z> has ell = 0: the proposed step rule stays finite, the
+    # baseline step 1/(ell ||A||^2) does not, and it raised ZeroDivisionError
+    # before the proposed solver could run
+    b = np.array([1.0, -2.0, 0.5])
+    spec = ProblemSpec(
+        prox_fC=lambda w, tau: np.clip(w, -1.0, 1.0), grad_h=lambda z: b,
+        subgrad_g=np.zeros_like, value_f=lambda x: 0.0,
+        value_h=lambda z: float(b @ z), value_g=lambda x: 0.0,
+        map_A=LinearMap.identity(3), lipschitz_ell=0.0, norm_A=1.0)
+    rep = bench._solve_cell(spec, np.zeros(3), "proposed", 100)
+    assert rep.status == "converged"
+    assert np.array_equal(rep.x, -np.sign(b))
+    for solver in ("gppa", "pdcae"):
+        with pytest.raises(ValueError, match=r"needs ell \|\|A\|\|\^2 > 0"):
+            bench._solve_cell(spec, np.zeros(3), solver, 100)
 
 
 def test_sweep_records_a_cell_whose_setup_fails(tmp_path, monkeypatch, capsys):

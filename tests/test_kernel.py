@@ -1,6 +1,7 @@
 """The shared iteration kernel against the loops it replaced, and its cost."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -35,15 +36,14 @@ def run_new(spec, solver, params):
 def schedule(spec, solver, params):
     """(tau, lams, mus) as solve, gppa_solve and pdcae_solve hand them to
     psg.iterate: mus is the momentum of the prox point."""
-    if solver == "proposed":
-        tau = tau_upper_bound(spec, params)
-        return (tau, *psg.momentum_table(params.lambda_bar, params.mu_bar, tau,
-                                         params.restart_period, params.max_iter))
     if solver == "gppa":
         return params.step_tau, [0.0], [0.0]
-    thetas, _ = psg.momentum_table(1.0, 0.0, params.step_tau,
-                                   params.restart_period, params.max_iter)
-    return params.step_tau, thetas, thetas
+    ratios = psg.momentum_table(params.restart_period, params.max_iter)
+    if solver == "pdcae":
+        return params.step_tau, ratios, ratios
+    tau = tau_upper_bound(spec, params)
+    return (tau, [params.lambda_bar * r for r in ratios],
+            [params.mu_bar * tau * r for r in ratios])
 
 
 def assert_schedule_matches_legacy(spec, solver, params, trace, iterations):
@@ -221,7 +221,11 @@ def test_finite_iterate_whose_step_overflows_does_not_raise(solver):
     inst = cs.make_instance(("gaussian", 40, 120, 6), 3, 0.1, "least-squares")
     spec = prox_failing_at(cs.build_cs_problem(inst), 7, 1e200)
     with np.errstate(over="ignore"):  # ||x_8 - x_7||^2 overflows, by design
-        rep = run_new(spec, solver, sweep_params(spec, solver, 8, stop_rel_tol=0.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = run_new(spec, solver, sweep_params(spec, solver, 8, stop_rel_tol=0.0))
+    # the report's Lyapunov figures take 0 * inf and inf - inf without a warning
+    assert [w.message for w in caught if w.category is RuntimeWarning] == []
     assert rep.iterations == 8
     assert rep.trace.step_norms[-1] == np.inf
     assert np.isfinite(rep.x).all()

@@ -48,6 +48,9 @@ def test_tau_upper_bound_degenerate_raises():
     fake = SimpleNamespace(delta=0.0, lambda_bar=0.0, mu_bar=0.0)
     with pytest.raises(ValueError, match="degenerate"):
         tau_upper_bound(spec, fake)
+    # finite constants whose ell ||A||^2 overflows gave tau = 1 / inf = 0.0
+    with pytest.raises(ValueError, match="degenerate"):
+        tau_upper_bound(make_spec(ell=1e300, norm_a=1e10), SolverParams())
 
 
 def test_solver_params_validation():
@@ -62,6 +65,11 @@ def test_solver_params_validation():
     with pytest.raises(ValueError, match="stop_rel_tol must be nonnegative"):
         SolverParams(stop_rel_tol=-1e-8)
     SolverParams(restart_period=None)  # no restart is allowed
+    # a float count passed and the solve died with a TypeError from range()
+    for bad in ({"max_iter": 10.0}, {"restart_period": 7.5}):
+        with pytest.raises(ValueError, match="must be integers"):
+            SolverParams(**bad)
+    SolverParams(max_iter=np.int64(10), restart_period=np.int32(7))
     # a NaN stop_rel_tol passed every check and ran the solve to max_iter
     for name in ("lambda_bar", "mu_bar", "delta", "stop_rel_tol"):
         for bad in (np.nan, np.inf):
@@ -81,10 +89,12 @@ def test_baseline_params_reject_nonpositive_restart_period():
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         make_spec(ell=-1.0)
-    # a NaN constant passed the sign checks and made tau_upper_bound NaN
+    # a NaN constant passed the sign checks and made tau_upper_bound NaN; an
+    # infinite beta ran GPPA and pDCAe to max-iter
     for name in ("ell", "norm_a", "beta"):
-        with pytest.raises(ValueError, match="must be >= 0"):
-            make_spec(**{name: np.nan})
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                make_spec(**{name: bad})
     spec = make_spec()
     with pytest.raises(ValueError, match="does not match map_A"):
         dataclasses.replace(spec, screen=L1Screen(0.1, np.eye(3, 4, order="F")))

@@ -23,42 +23,35 @@ def unrolled(table, iterations):
 
 
 def test_momentum_schedule_first_values():
-    lams, mus = momentum_table(0.1, 0.01, 0.5, 50, 3)
-    assert lams[0] == 0.0 and mus[0] == 0.0
-    assert lams[1] == 0.0 and mus[1] == 0.0  # kappa_0 = 1 keeps the ratio zero
+    ratios = momentum_table(50, 3)
+    assert ratios[0] == 0.0
+    assert ratios[1] == 0.0  # kappa_0 = 1 keeps the ratio zero
     # kappa_1 = (1 + sqrt(5)) / 2, kappa_2 = (1 + sqrt(1 + 4 kappa_1^2)) / 2
     kappa_2 = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * GOLDEN**2))
-    expect = (GOLDEN - 1.0) / kappa_2
-    assert abs(lams[2] - 0.1 * expect) < 1e-14
-    assert abs(mus[2] - 0.01 * 0.5 * expect) < 1e-14
+    assert abs(ratios[2] - (GOLDEN - 1.0) / kappa_2) < 1e-14
 
 
 def test_momentum_coefficients_bounded():
-    lams, mus = momentum_table(0.1, 0.01, 0.7, 50, 500)
-    assert len(lams) == len(mus) == 50
-    for lam, mu in zip(lams, mus):
-        assert 0.0 <= lam <= 0.1
-        assert 0.0 <= mu <= 0.01 * 0.7
+    # solve scales the ratios by lambda_bar and mu_bar tau, so r < 1 bounds
+    # lambda_n by lambda_bar and mu_n by mu_bar tau
+    ratios = momentum_table(50, 500)
+    assert len(ratios) == 50
+    assert all(0.0 <= r < 1.0 for r in ratios)
 
 
 def test_restart_resets_schedule():
-    table, _ = momentum_table(1.0, 0.0, 1.0, 50, 120)
+    table = momentum_table(50, 120)
     assert len(table) == 50
-    lams = unrolled(table, 120)
+    ratios = unrolled(table, 120)
     # After a reset the ratio collapses to zero again.
-    assert lams[50] == 0.0 and lams[100] == 0.0
-    assert lams[49] > 0.5 and lams[99] > 0.5
+    assert ratios[50] == 0.0 and ratios[100] == 0.0
+    assert ratios[49] > 0.5 and ratios[99] > 0.5
 
 
 def test_no_restart_when_period_none():
-    lams, _ = momentum_table(1.0, 0.0, 1.0, None, 200)
-    assert len(lams) == 200
-    assert all(b >= a for a, b in zip(lams[1:], lams[2:]))
-
-
-def test_extrapolation_rejects_bad_tau():
-    with pytest.raises(ValueError, match="tau must be positive"):
-        momentum_table(0.1, 0.01, 0.0, 50, 10)
+    ratios = momentum_table(None, 200)
+    assert len(ratios) == 200
+    assert all(b >= a for a, b in zip(ratios[1:], ratios[2:]))
 
 
 def test_psg_step_zero_momentum_is_proximal_gradient():
