@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .problem import check_counts
+from .problem import check_count
 from .psg import iterate, momentum_table
 
 
@@ -26,7 +26,9 @@ class BaselineParams:
             raise ValueError("step_tau must be positive")
         if self.stop_rel_tol < 0:
             raise ValueError("stop_rel_tol must be nonnegative")
-        check_counts(self.max_iter, self.restart_period)
+        check_count("max_iter", self.max_iter)
+        if self.restart_period is not None:  # None means no restart
+            check_count("restart_period", self.restart_period)
 
 
 def gppa_solve(spec, x0, params):

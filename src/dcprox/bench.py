@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, cs, opf, oracles, polyhedron, psg
-from .problem import SolverParams, tau_upper_bound
+from .problem import SolverParams, check_count, tau_upper_bound
 
 SOLVERS = ("gppa", "pdcae", "proposed")
 
@@ -45,11 +45,11 @@ class SweepConfig:
     out_csv: str = None
 
     def __post_init__(self):
-        if self.n_seeds < 1:
-            raise ValueError("need at least one seed")
-        if self.base_seed < 0:
-            raise ValueError("base_seed is negative: %r" % (self.base_seed,))
+        check_count("n_seeds", self.n_seeds)
+        check_count("base_seed", self.base_seed, least=0)
         _check_members("cases", self.cases, cs.CASES)
+        for case in self.cases:  # 1.0 and True are keys of cs.CASES too
+            check_count("case id in cases", case)
         _check_members("loss_kind", (self.loss_kind,), LOSS_DEFAULTS)
         _check_members("solvers", self.solvers, SOLVERS)
 
@@ -64,10 +64,8 @@ class OPFConfig:
     out_json: str = None
 
     def __post_init__(self):
-        if self.opf_starts < 1:
-            raise ValueError("need at least one power-flow start")
-        if self.base_seed < 0:
-            raise ValueError("base_seed is negative: %r" % (self.base_seed,))
+        check_count("opf_starts", self.opf_starts)
+        check_count("base_seed", self.base_seed, least=0)
         _check_members("solvers", self.solvers, SOLVERS)
         if self.out_json and "proposed" not in self.solvers:
             raise ValueError("out_json needs 'proposed' in solvers")

@@ -176,7 +176,7 @@ def make_instance(case, seed, gamma, loss_kind):
     the 1/sqrt(m)-scaled ensemble for the least-squares loss and the
     row-orthonormal ensemble for the Lorentzian loss.
     """
-    kind, m, d, s = CASES[case] if isinstance(case, int) else case
+    kind, m, d, s = case if isinstance(case, tuple) else CASES[case]
     mat_seed, gt_seed = (int(v) for v in np.random.SeedSequence(seed).generate_state(2))
     if kind == "gaussian":
         mode = "scaled" if loss_kind == "least-squares" else "orthonormal"

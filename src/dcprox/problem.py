@@ -59,10 +59,12 @@ class ProblemSpec:
     screen: Optional[L1Screen] = None
 
     def __post_init__(self):
+        # norm_A**2 raises OverflowError where this product gives inf (from 2**512 on)
         if not all(0 <= v < math.inf for v in (
-                self.lipschitz_ell, self.weak_convexity_beta, self.norm_A)):
-            raise ValueError("lipschitz_ell, weak_convexity_beta, norm_A must be >= 0"
-                             " and finite")
+                self.lipschitz_ell, self.weak_convexity_beta, self.norm_A,
+                self.norm_A * self.norm_A)):
+            raise ValueError("lipschitz_ell, weak_convexity_beta, norm_A and norm_A**2"
+                             " must be >= 0 and finite")
         shape = (self.map_A.dim_out, self.map_A.dim_in)
         if self.screen is not None and self.screen.matrix.shape != shape:
             raise ValueError("screen matrix shape %s does not match map_A %s"
@@ -96,24 +98,20 @@ class SolverParams:
             raise ValueError("lambda_bar and mu_bar must be nonnegative")
         if self.stop_rel_tol < 0:
             raise ValueError("stop_rel_tol must be nonnegative")
-        check_counts(self.max_iter, self.restart_period)
+        check_count("max_iter", self.max_iter)
+        if self.restart_period is not None:  # None means no restart
+            check_count("restart_period", self.restart_period)
 
 
-def check_counts(max_iter, restart_period):
-    """The max_iter and restart_period checks of SolverParams and
-    BaselineParams: positive integers (numpy integers too, as
-    operator.index takes them); restart_period None means no restart."""
+def check_count(name, value, least=1):
+    """Reject a count, seed or case id unless it is an integer >= least;
+    numpy integers pass, as operator.index takes them, and bools fail."""
     try:
-        operator.index(max_iter)
-        if restart_period is not None:
-            operator.index(restart_period)
+        valid = not isinstance(value, bool) and operator.index(value) >= least
     except TypeError:
-        raise ValueError("max_iter and restart_period must be integers: %r, %r"
-                         % (max_iter, restart_period)) from None
-    if max_iter <= 0:
-        raise ValueError("max_iter must be positive")
-    if restart_period is not None and restart_period <= 0:
-        raise ValueError("restart_period must be positive or None")
+        valid = False
+    if not valid:
+        raise ValueError("%s must be an integer >= %d: %r" % (name, least, value))
 
 
 def tau_upper_bound(spec, params):

@@ -9,7 +9,8 @@ byte for byte,
 
 It prints one JSON document of hex floats and SHA-256 hashes:
   - the environment: the Python and numpy versions, the name and version of
-    numpy's BLAS, OPENBLAS_NUM_THREADS and the number of usable CPUs, since
+    numpy's BLAS, OPENBLAS_NUM_THREADS, the number of usable CPUs and the
+    thread count OpenBLAS uses (None when its library is not found), since
     the last bits of several outputs depend on the BLAS thread count (compare
     outputs made under the same one);
   - the sweep CSVs of least-squares cases 1/2/5/6 and Lorentzian cases 1/5,
@@ -35,6 +36,8 @@ runs unchanged on both sides of a change that keeps those.
 """
 
 import contextlib
+import ctypes
+import glob
 import hashlib
 import io
 import json
@@ -53,6 +56,24 @@ SOLVE_SEEDS = range(4)
 WALL_TIME_COLUMN = bench.CSV_COLUMNS.index("mean_wall_time (nondeterministic)")
 
 
+def openblas_threads():
+    """The thread count of the OpenBLAS that numpy bundles, read through
+    ctypes as perfbench/run.py reads it; None when that library is not
+    found or exports no getter."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+    except (IndexError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            getter = getattr(lib, prefix + "_get_num_threads" + suffix, None)
+            if getter is not None:
+                return int(getter())
+    return None
+
+
 def env():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -61,6 +82,7 @@ def env():
         "blas": {key: blas.get(key) for key in ("name", "version")},
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "cpus": len(os.sched_getaffinity(0)),
+        "openblas_threads": openblas_threads(),
     }
 
 

@@ -24,9 +24,10 @@ def test_params_validation():
             BaselineParams(step_tau=bad)
         with pytest.raises(ValueError, match="must be finite"):
             BaselineParams(step_tau=0.1, stop_rel_tol=bad)
-    for bad in ({"max_iter": 10.0}, {"restart_period": 7.5}):
-        with pytest.raises(ValueError, match="must be integers"):
-            BaselineParams(step_tau=0.1, **bad)
+    for name, bad in (("max_iter", 10.0), ("restart_period", 7.5), ("max_iter", True)):
+        with pytest.raises(ValueError,
+                           match="%s must be an integer >= 1: %s" % (name, bad)):
+            BaselineParams(step_tau=0.1, **{name: bad})
     BaselineParams(step_tau=0.1, max_iter=np.int64(10), restart_period=np.int32(7))
 
 

@@ -139,9 +139,30 @@ def test_config_bad_value_names_its_key(cls, key, value):
     assert value.split(", ")[-1] in str(err.value)
 
 
+@pytest.mark.parametrize("cls, key, value", [
+    # no config file gives these, and each passed the old `< 1` and `< 0`
+    # tests: a float count or seed then failed the run (or every cell) with a
+    # TypeError, 1.0 every cell with "cannot unpack", and True ran case 1
+    (bench.SweepConfig, "n_seeds", 1.5),
+    (bench.SweepConfig, "base_seed", 0.5),
+    (bench.SweepConfig, "cases", (1.0,)),
+    (bench.SweepConfig, "cases", (True,)),
+    (bench.OPFConfig, "opf_starts", 1.5),
+    (bench.OPFConfig, "base_seed", 0.5),
+])
+def test_config_rejects_a_non_integer_count(cls, key, value, tmp_path):
+    out = tmp_path / "out"
+    out.write_text("kept")
+    out_key = "out_csv" if cls is bench.SweepConfig else "out_json"
+    with pytest.raises(ValueError, match=r"%s must be an integer >= \d: %r"
+                       % (key, value[0] if key == "cases" else value)):
+        cls(**{key: value, out_key: str(out)})
+    assert out.read_text() == "kept"  # rejected before the output is opened
+
+
 @pytest.mark.parametrize("cls", [bench.SweepConfig, bench.OPFConfig])
 def test_config_rejects_negative_base_seed(cls):
-    with pytest.raises(ValueError, match="base_seed is negative: -1"):
+    with pytest.raises(ValueError, match="base_seed must be an integer >= 0: -1"):
         cli.config_from_dict(cls, {"base_seed": "-1"})
 
 
@@ -151,7 +172,7 @@ def test_config_rejects_zero_seeds():
 
 
 def test_config_rejects_zero_opf_starts():
-    with pytest.raises(ValueError, match="power-flow start"):
+    with pytest.raises(ValueError, match="opf_starts must be an integer >= 1: 0"):
         bench.OPFConfig(opf_starts=0)
 
 
@@ -162,6 +183,15 @@ def test_sweep_shape_single_cell():
     assert len(res.runs) == 1
     assert res.rows[0]["case"] == 1
     assert res.rows[0]["n_errors"] == 0
+
+
+def test_sweep_runs_a_numpy_integer_case_id():
+    # cs.make_instance took only a Python int as a case id, so every cell of
+    # an np.int64 case failed with "cannot unpack non-iterable"
+    cfg = bench.SweepConfig(cases=(np.int64(1),), solvers=("proposed",), n_seeds=1)
+    res = bench.run_cs_sweep(cfg)
+    assert res.rows[0]["n_errors"] == 0
+    assert bench.results_csv_text(res.rows).splitlines()[1].startswith("1,proposed,")
 
 
 def test_sweep_csv_byte_stable():

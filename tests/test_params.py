@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -66,9 +67,10 @@ def test_solver_params_validation():
         SolverParams(stop_rel_tol=-1e-8)
     SolverParams(restart_period=None)  # no restart is allowed
     # a float count passed and the solve died with a TypeError from range()
-    for bad in ({"max_iter": 10.0}, {"restart_period": 7.5}):
-        with pytest.raises(ValueError, match="must be integers"):
-            SolverParams(**bad)
+    for name, bad in (("max_iter", 10.0), ("restart_period", 7.5), ("max_iter", True)):
+        with pytest.raises(ValueError,
+                           match="%s must be an integer >= 1: %s" % (name, bad)):
+            SolverParams(**{name: bad})
     SolverParams(max_iter=np.int64(10), restart_period=np.int32(7))
     # a NaN stop_rel_tol passed every check and ran the solve to max_iter
     for name in ("lambda_bar", "mu_bar", "delta", "stop_rel_tol"):
@@ -81,7 +83,8 @@ def test_baseline_params_reject_nonpositive_restart_period():
     # restart_period = 0 would reset the momentum every iteration: pDCAe
     # would silently be GPPA
     for period in (0, -1):
-        with pytest.raises(ValueError, match="restart_period must be positive or None"):
+        with pytest.raises(ValueError, match="restart_period must be an integer >= 1: %d"
+                           % period):
             BaselineParams(step_tau=1.0, extrapolation=True, restart_period=period)
     BaselineParams(step_tau=1.0, extrapolation=True, restart_period=None)
 
@@ -95,6 +98,13 @@ def test_problem_spec_validation():
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="must be >= 0"):
                 make_spec(**{name: bad})
+    # a finite norm_A whose square overflows: norm_A**2 raised OverflowError in
+    # the step rules; 2**512 is the least norm_A whose square is not finite
+    for bad in (1e200, 2.0**512):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            make_spec(norm_a=bad)
+    largest = make_spec(ell=1e-300, norm_a=math.nextafter(2.0**512, 0))
+    assert 0 < tau_upper_bound(largest, SolverParams()) < math.inf
     spec = make_spec()
     with pytest.raises(ValueError, match="does not match map_A"):
         dataclasses.replace(spec, screen=L1Screen(0.1, np.eye(3, 4, order="F")))
