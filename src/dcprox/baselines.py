@@ -1,34 +1,21 @@
 """Baseline algorithms sharing the oracles of the extrapolated solver."""
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
-from .problem import check_count
+from .problem import LoopParams, check_number
 from .psg import iterate, momentum_table
 
 
-@dataclass(frozen=True)
-class BaselineParams:
-    """Fixed step size and stopping rule for GPPA / pDCAe."""
+@dataclass(frozen=True, kw_only=True)
+class BaselineParams(LoopParams):
+    """Fixed step size and momentum switch for GPPA / pDCAe."""
 
     step_tau: float
-    max_iter: int = 3000
-    stop_rel_tol: float = 1e-8
     extrapolation: bool = False  # pDCAe momentum on/off
-    restart_period: Optional[int] = 50
-    keep_iterates: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.step_tau) and math.isfinite(self.stop_rel_tol)):
-            raise ValueError("step_tau and stop_rel_tol must be finite")
-        if self.step_tau <= 0:
-            raise ValueError("step_tau must be positive")
-        if self.stop_rel_tol < 0:
-            raise ValueError("stop_rel_tol must be nonnegative")
-        check_count("max_iter", self.max_iter)
-        if self.restart_period is not None:  # None means no restart
-            check_count("restart_period", self.restart_period)
+        super().__post_init__()
+        check_number("step_tau", self.step_tau, positive=True)
 
 
 def gppa_solve(spec, x0, params):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, cs, opf, oracles, polyhedron, psg
-from .problem import SolverParams, check_count, tau_upper_bound
+from .problem import SolverParams, check_count, check_number, tau_upper_bound
 
 SOLVERS = ("gppa", "pdcae", "proposed")
 
@@ -93,8 +93,7 @@ def _solve_cell(spec, x0, solver, max_iter):
     if solver == "proposed":
         return psg.solve(spec, x0, SolverParams(max_iter=max_iter))
     lipschitz = spec.lipschitz_ell * spec.norm_A**2  # of grad (h o A)
-    if lipschitz == 0:
-        raise ValueError("baseline step 1/(ell ||A||^2) needs ell ||A||^2 > 0")
+    check_number("ell ||A||^2 of the baseline step", lipschitz, positive=True)
     base_tau = 1.0 / lipschitz
     params = baselines.BaselineParams(
         step_tau=0.8 * base_tau if solver == "gppa" else base_tau,
@@ -379,10 +378,8 @@ def run_checks():
             results.extend(suite(rng))
         except Exception as exc:
             results.append((suite.__name__, False, repr(exc)))
-    failures = 0
     for name, ok, detail in results:
-        if not ok:
-            failures += 1
         print("%-32s %s  %s" % (name, "PASS" if ok else "FAIL", detail))
+    failures = sum(not ok for _, ok, _ in results)
     print("%d checks, %d failures" % (len(results), failures))
     return failures

@@ -18,7 +18,7 @@ from . import bench, cs
 
 
 def parse_config(path):
-    """Flat key = value file to a string dict."""
+    """Flat key = value file to a string dict; a repeated key fails."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -28,6 +28,8 @@ def parse_config(path):
             if "=" not in line:
                 raise ValueError("%s:%d: expected key = value" % (path, lineno))
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise ValueError("%s:%d: repeated key %r" % (path, lineno, key))
             out[key] = value
     return out
 

@@ -12,7 +12,7 @@ from .linop import LinearMap, gram_spectrum
 # unused here: kept only because perfbench's tracer patches cs.spectral_norm
 from .linop import spectral_norm  # noqa: F401
 from .oracles import Loss, norm_subgradient, soft_threshold
-from .problem import L1Screen, ProblemSpec
+from .problem import L1Screen, ProblemSpec, check_number
 
 #: case id -> (matrix kind, m, d, s)
 CASES = {
@@ -201,8 +201,7 @@ def build_cs_problem(inst):
     kernel computes only the A* entries the prox does not provably zero.
     """
     gamma = inst.gamma
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
+    check_number("gamma", gamma, positive=True)
     loss = Loss(inst.loss_kind, inst.b)
     matrix = inst.A.matrix
     screen = None

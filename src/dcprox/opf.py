@@ -16,7 +16,7 @@ import numpy as np
 
 from .linop import LinearMap
 from .polyhedron import PolyhedralSet, PolyhedronProjector
-from .problem import ProblemSpec
+from .problem import ProblemSpec, check_number
 
 N_BUS = 14
 DOLLARS_PER_UNIT = 1_040_000.0
@@ -178,8 +178,7 @@ def build_dcopf(net):
     no point within that tolerance raises InfeasiblePolyhedronError.
     """
     gamma = net.gamma
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    check_number("gamma", gamma, positive=True)
     lay = DCOPFLayout()
     d = lay.dim
     gens = np.array(net.generator_buses) - 1

@@ -19,6 +19,8 @@ before it is returned.
 
 import numpy as np
 
+from .problem import check_number
+
 
 class ProjectionError(RuntimeError):
     def __init__(self, message, residual, best_x=None):
@@ -73,10 +75,8 @@ class PolyhedronProjector:
     """
 
     def __init__(self, set_, tol=1e-8):
-        self.set = set_
-        self.tol = float(tol)
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        check_number("tol", tol, positive=True)
+        self.set, self.tol = set_, float(tol)
         self._reduce()
 
     def _reduce(self):
@@ -133,13 +133,15 @@ class PolyhedronProjector:
     def project(self, w):
         """Projection of w onto the set, certified to the residual tolerance.
 
-        Raises ProjectionError (with the last point and its residual) when
-        the active-set steps reach the cap or the result misses the
-        tolerance, and InfeasiblePolyhedronError when the inequalities
-        admit no common point.
+        w must have shape (dim,).  Raises ProjectionError (with the last
+        point and its residual) when the active-set steps reach the cap or
+        the result misses the tolerance, and InfeasiblePolyhedronError when
+        the inequalities admit no common point.
         """
-        maxit = 10 * sum(self._R.shape)
         w = np.asarray(w, dtype=float)
+        if w.shape != (self.set.dim,):
+            raise ValueError("w has shape %s, not (%d,)" % (w.shape, self.set.dim))
+        maxit = 10 * sum(self._R.shape)
         y, status = self._active_set(self._Z.T @ (w - self._x_p), maxit)
         x = self._x_p + self._Z @ y
         res = self.set.residual(x)

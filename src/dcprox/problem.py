@@ -59,12 +59,10 @@ class ProblemSpec:
     screen: Optional[L1Screen] = None
 
     def __post_init__(self):
+        for name in ("lipschitz_ell", "weak_convexity_beta", "norm_A"):
+            check_number(name, getattr(self, name))
         # norm_A**2 raises OverflowError where this product gives inf (from 2**512 on)
-        if not all(0 <= v < math.inf for v in (
-                self.lipschitz_ell, self.weak_convexity_beta, self.norm_A,
-                self.norm_A * self.norm_A)):
-            raise ValueError("lipschitz_ell, weak_convexity_beta, norm_A and norm_A**2"
-                             " must be >= 0 and finite")
+        check_number("norm_A * norm_A", self.norm_A * self.norm_A)
         shape = (self.map_A.dim_out, self.map_A.dim_in)
         if self.screen is not None and self.screen.matrix.shape != shape:
             raise ValueError("screen matrix shape %s does not match map_A %s"
@@ -76,31 +74,35 @@ class ProblemSpec:
         return self.value_f(x) + self.value_h(Ax) - self.value_g(x)
 
 
-@dataclass(frozen=True)
-class SolverParams:
+@dataclass(frozen=True, kw_only=True)
+class LoopParams:
+    """The update cap, stop rule, restart period and trace of every solver."""
+
+    max_iter: int = 3000
+    stop_rel_tol: float = 1e-8
+    restart_period: Optional[int] = 50
+    keep_iterates: bool = False
+
+    def __post_init__(self):
+        check_count("max_iter", self.max_iter)
+        check_number("stop_rel_tol", self.stop_rel_tol)
+        if self.restart_period is not None:  # None means no restart
+            check_count("restart_period", self.restart_period)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SolverParams(LoopParams):
     """Step-size and extrapolation parameters of the extrapolated solver."""
 
     lambda_bar: float = 0.1
     mu_bar: float = 0.01
     delta: float = 5e-25
-    restart_period: Optional[int] = 50
-    max_iter: int = 3000
-    stop_rel_tol: float = 1e-8
-    keep_iterates: bool = False
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.lambda_bar, self.mu_bar, self.delta,
-                                       self.stop_rel_tol))):
-            raise ValueError("lambda_bar, mu_bar, delta and stop_rel_tol must be finite")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.lambda_bar < 0 or self.mu_bar < 0:
-            raise ValueError("lambda_bar and mu_bar must be nonnegative")
-        if self.stop_rel_tol < 0:
-            raise ValueError("stop_rel_tol must be nonnegative")
-        check_count("max_iter", self.max_iter)
-        if self.restart_period is not None:  # None means no restart
-            check_count("restart_period", self.restart_period)
+        super().__post_init__()
+        check_number("lambda_bar", self.lambda_bar)
+        check_number("mu_bar", self.mu_bar)
+        check_number("delta", self.delta, positive=True)
 
 
 def check_count(name, value, least=1):
@@ -114,6 +116,19 @@ def check_count(name, value, least=1):
         raise ValueError("%s must be an integer >= %d: %r" % (name, least, value))
 
 
+def check_number(name, value, positive=False):
+    """Reject a real parameter unless it is finite and >= 0 (> 0 when
+    positive); NaN, bools and anything that does not compare as a real fail."""
+    try:
+        valid = (not isinstance(value, (bool, np.bool_)) and value < math.inf
+                 and (value > 0 if positive else value >= 0))
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValueError("%s must be finite and %s 0: %r"
+                         % (name, ">" if positive else ">=", value))
+
+
 def tau_upper_bound(spec, params):
     """Largest admissible constant step size for the extrapolated solver.
 
@@ -125,8 +140,7 @@ def tau_upper_bound(spec, params):
         + spec.lipschitz_ell * spec.norm_A**2 * (2.0 * params.lambda_bar + 1.0)
         + 2.0 * params.mu_bar
     )
-    if not 0 < denom < math.inf:
-        raise ValueError("step-size rule degenerate: denominator %r" % denom)
+    check_number("the step-size rule's denominator", denom, positive=True)
     return 1.0 / denom
 
 
@@ -155,6 +169,5 @@ class SolveReport:
     iterations: int
     status: str  # "converged" | "max-iter"
     trace: IterateTrace
-    lyapunov_c: float
     max_lyapunov_violation: float
     wall_time: float

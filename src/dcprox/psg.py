@@ -91,14 +91,15 @@ def screen_columns(ref, screen, norm_A, tau, psi, v, g_n):
 def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
     """The iteration loop of the proposed solver, GPPA and pDCAe.
 
-    Iteration n steps with tau and the momenta lam = lams[k] and
-    mu = mus[k], k = n % len(lams) (a momentum_table period; mus is as long
-    as lams).  The gradient of h o A is taken at u_n = x_n + lam (x_n -
-    x_{n-1}) and the prox at v_n = x_n + mu (x_n - x_{n-1}).  A u_n comes
-    from the cached A x_n and A x_{n-1}, and F(x_{n+1}) from the one fresh
-    product A x_{n+1}.  The loop keeps only F(x_n), s_n = ||x_n - x_{n-1}||
-    and (with keep_iterates) x_n; after it, the report derives the Lyapunov
-    values F(x_n) + c s_n^2 and their largest violation of a decrease by
+    params is a problem.LoopParams.  Iteration n steps with tau and the
+    momenta lam = lams[k] and mu = mus[k], k = n % len(lams) (a
+    momentum_table period; mus is as long as lams).  The gradient of h o A
+    is taken at u_n = x_n + lam (x_n - x_{n-1}) and the prox at
+    v_n = x_n + mu (x_n - x_{n-1}).  A u_n comes from the cached A x_n and
+    A x_{n-1}, and F(x_{n+1}) from the one fresh product A x_{n+1}.  The
+    loop keeps only F(x_n), s_n = ||x_n - x_{n-1}|| and (with
+    keep_iterates) x_n; after it, the report derives the Lyapunov values
+    F(x_n) + c s_n^2 and their largest violation of a decrease by
     delta s_n^2 (NaN if any is NaN).  A failure of the step at iteration n
     is re-raised, chained, as RuntimeError("<oracle> failed at iteration n"),
     naming subgrad_g, grad_h, the A* product (full or on columns) or prox_fC.
@@ -180,7 +181,6 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
         iterations=len(step_norms) - 1,
         status=status,
         trace=IterateTrace(objective, step_norms, lyapunov, iterates),
-        lyapunov_c=c,
         max_lyapunov_violation=float(np.max(violation, initial=0.0)),
         wall_time=wall_time,
     )

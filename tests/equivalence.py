@@ -7,7 +7,24 @@ byte for byte,
     PYTHONPATH=<change>/src python tests/equivalence.py > change.json
     cmp parent.json change.json
 
-It prints one JSON document of hex floats and SHA-256 hashes:
+or, where a change may move the last bits, field by field:
+
+    PYTHONPATH=src python tests/equivalence.py --compare parent.json change.json
+
+The comparison exits 1 at the first difference that matters, naming it:
+statuses, iteration counts, zero-pattern hashes, exit codes, the OPF
+model, placement and start ids, the `dcprox gen` hashes, the sweep CSVs'
+ids, counts and mean iterations, and the names and PASS/FAIL of
+`dcprox check` must be equal; objectives, ||x||, rate_r2 and the CSVs'
+mean_error and mean_objective must agree to REL_TOL relative.  What
+rounding alone moves (between BLAS thread counts, say) is counted and
+reported, never failed: the hashes of x and of the trace, best_x, the plan
+JSON, the Lyapunov violations, the detail text of `dcprox check`, the
+stdout of `dcprox opf-run` and env.  A field only the second document has
+is reported as added; one it lacks, or one without a rule, fails.
+
+Without --compare it prints one JSON document of hex floats and SHA-256
+hashes:
   - the environment: the Python and numpy versions, the name and version of
     numpy's BLAS, OPENBLAS_NUM_THREADS, the number of usable CPUs and the
     thread count OpenBLAS uses (None when its library is not found), since
@@ -35,13 +52,17 @@ cs.build_cs_problem, opf.load_network, opf.build_dcopf and cli.main, so it
 runs unchanged on both sides of a change that keeps those.
 """
 
+import argparse
+import collections
 import contextlib
 import ctypes
 import glob
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import sys
 import tempfile
 
@@ -200,7 +221,183 @@ def solves():
     return out
 
 
+#: relative tolerance of the numbers a comparison does not take exactly
+REL_TOL = 1e-12
+
+
+class Miss(Exception):
+    """A field that differs between two fingerprints beyond its rule."""
+
+
+def as_float(value):
+    """A fingerprint number: a hex float string, a decimal one or a number."""
+    if isinstance(value, str):
+        return float.fromhex(value) if "0x" in value else float(value)
+    return float(value)
+
+
+class Comparison:
+    """The rules a comparison applies to each field of two fingerprints.
+
+    exact and close raise Miss naming the field; count only counts, under
+    its rule's path, the items that differ and the items seen.
+    """
+
+    def __init__(self):
+        self.moved = collections.Counter()
+        self.seen = collections.Counter()
+        self.added = []
+
+    def exact(self, path, where, a, b):
+        if a != b:
+            raise Miss("%s: %r != %r" % (where, a, b))
+
+    def close(self, path, where, a, b):
+        x, y = as_float(a), as_float(b)
+        if not (x == y or (math.isnan(x) and math.isnan(y))
+                or (math.isfinite(x - y)
+                    and abs(x - y) <= REL_TOL * max(abs(x), abs(y)))):
+            raise Miss("%s: %r and %r differ by more than %g relative"
+                       % (where, a, b, REL_TOL))
+
+    def count(self, path, where, a, b):
+        self.seen[path] += 1
+        self.moved[path] += a != b
+
+    def csv(self, path, where, a, b):
+        """Sweep-CSV lines, each column by its rule in CSV_RULES."""
+        self.exact(path, where + " line count", len(a), len(b))
+        header = a[0].split(",")
+        self.exact(path, where + " header", header, b[0].split(","))
+        for k, (line_a, line_b) in enumerate(zip(a[1:], b[1:]), 1):
+            cells_a, cells_b = line_a.split(","), line_b.split(",")
+            self.exact(path, "%s line %d cell count" % (where, k),
+                       len(cells_a), len(cells_b))
+            for column, x, y in zip(header, cells_a, cells_b):
+                rule = CSV_RULES.get(column)
+                if rule is None:
+                    raise Miss("%s: no rule for column %r" % (where, column))
+                getattr(self, rule)("%s %s" % (path, column),
+                                    "%s line %d %s" % (where, k, column), x, y)
+
+    def check_lines(self, path, where, a, b):
+        """`dcprox check` stdout: each check's name and PASS/FAIL exact, its
+        detail counted; the summary line exact."""
+        self.exact(path, where + " line count", len(a), len(b))
+        for k, (x, y) in enumerate(zip(a, b)):
+            mx, my = CHECK_LINE.match(x), CHECK_LINE.match(y)
+            if mx is None or my is None:
+                self.exact(path, "%s[%d]" % (where, k), x, y)
+                continue
+            self.exact(path, "%s[%d]" % (where, k), mx.group(1, 2), my.group(1, 2))
+            self.count(path + " detail", where, mx.group(3), my.group(3))
+
+    def opf_start(self, path, where, a, b):
+        """[solver, start, objective, iterations, Lyapunov violation] of one
+        OPF start."""
+        self.exact(path, where + " length", len(a), len(b))
+        self.exact(path, where + " solver and start", a[:2], b[:2])
+        self.close(path, where + " objective", a[2], b[2])
+        self.exact(path, where + " iterations", a[3], b[3])
+        self.count(path + " lyapunov_violation", where, a[4], b[4])
+
+    def lines(self, path, where, a, b):
+        """Stdout lines, each counted."""
+        self.exact(path, where + " line count", len(a), len(b))
+        for x, y in zip(a, b):
+            self.count(path, where, x, y)
+
+
+#: rule of each sweep-CSV column (the wall-time column is left out)
+CSV_RULES = {
+    "case": "exact", "solver": "exact", "n_runs": "exact", "n_errors": "exact",
+    "mean_iterations": "exact", "mean_error": "close", "mean_objective": "close",
+    "max_lyapunov_violation": "count",
+}
+#: a line of `dcprox check`: name, PASS or FAIL, detail
+CHECK_LINE = re.compile(r"^(.*?) +(PASS|FAIL)  (.*)$")
+#: rule of each field path; "[]" stands for any list index
+RULES = {
+    "env": "count",
+    "sweep_csvs.least-squares": "csv",
+    "sweep_csvs.lorentzian": "csv",
+    "opf_model": "exact",
+    "opf_run.starts[]": "opf_start",
+    "opf_run.best_x": "count",
+    "opf_run.placement": "exact",
+    "opf_run.rate_r2": "close",
+    "opf_run.plan_json": "count",
+    "check.exit": "exact",
+    "check.stdout": "check_lines",
+    "cs_run.exit": "exact",
+    "cs_run.stdout": "csv",
+    "opf_run_stdout.exit": "exact",
+    "opf_run_stdout.stdout": "lines",
+    "gen": "exact",
+    "solves[].cell": "exact",
+    "solves[].status": "exact",
+    "solves[].iterations": "exact",
+    "solves[].support": "exact",
+    "solves[].objective": "close",
+    "solves[].norm_x": "close",
+    "solves[].x": "count",
+    "solves[].trace": "count",
+}
+
+
+def compare_node(cmp, path, where, a, b):
+    """Apply the rule of path to a and b, or walk into them: a dict key by
+    key, a list item by item."""
+    rule = RULES.get(path)
+    if rule is not None:
+        getattr(cmp, rule)(path, where, a, b)
+    elif isinstance(a, dict) and isinstance(b, dict):
+        for key in a:
+            if key not in b:
+                raise Miss("%s: %r missing from the second document" % (where, key))
+            compare_node(cmp, path + "." + key if path else key,
+                         where + "." + key if where else key, a[key], b[key])
+        cmp.added += [where + "." + key if where else key for key in b if key not in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        cmp.exact(path, where + " length", len(a), len(b))
+        for k, (x, y) in enumerate(zip(a, b)):
+            label = "%s[%d]" % (where, k)
+            if isinstance(x, dict) and "cell" in x:
+                label += " (%s)" % " ".join(map(str, x["cell"]))
+            compare_node(cmp, path + "[]", label, x, y)
+    else:
+        raise Miss("%s: no rule for this field" % where)
+
+
+def compare(a, b):
+    """The Comparison of fingerprint b against a; raises Miss at the first
+    field that differs beyond its rule."""
+    cmp = Comparison()
+    compare_node(cmp, "", "", a, b)
+    return cmp
+
+
+def run_compare(path_a, path_b):
+    with open(path_a) as fa, open(path_b) as fb:
+        a, b = json.load(fa), json.load(fb)
+    try:
+        cmp = compare(a, b)
+    except Miss as miss:
+        sys.exit("not equivalent: %s" % miss)
+    print("equivalent: exact fields equal, numbers within %g relative" % REL_TOL)
+    for path in sorted(cmp.seen):
+        print("moved %d of %d: %s" % (cmp.moved[path], cmp.seen[path], path))
+    for where in cmp.added:
+        print("added: %s" % where)
+
+
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two fingerprints instead of printing one")
+    args = parser.parse_args()
+    if args.compare:
+        return run_compare(*args.compare)
     doc = {
         "env": env(),
         "sweep_csvs": sweep_csvs(),

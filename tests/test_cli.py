@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -28,6 +29,11 @@ def test_parse_config_rejects_garbage(tmp_path):
     p = tmp_path / "cfg.txt"
     p.write_text("just some words\n")
     with pytest.raises(ValueError, match="key = value"):
+        cli.parse_config(p)
+    # the last of two values was kept without a word
+    p.write_text("cases = 1\n# comment\ncases = 5\n")
+    with pytest.raises(ValueError,
+                       match="^%s:3: repeated key 'cases'$" % re.escape(str(p))):
         cli.parse_config(p)
 
 
@@ -237,7 +243,8 @@ def test_solve_cell_with_affine_h_runs_only_the_proposed_solver():
     assert rep.status == "converged"
     assert np.array_equal(rep.x, -np.sign(b))
     for solver in ("gppa", "pdcae"):
-        with pytest.raises(ValueError, match=r"needs ell \|\|A\|\|\^2 > 0"):
+        with pytest.raises(ValueError, match=r"^ell \|\|A\|\|\^2 of the baseline step "
+                                             r"must be finite and > 0: 0\.0$"):
             bench._solve_cell(spec, np.zeros(3), solver, 100)
 
 

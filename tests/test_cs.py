@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -191,7 +192,8 @@ def test_build_cs_problem_regularizer_value_and_gamma():
     x[:2] = [3.0, -4.0]
     assert abs(spec.value_f(x) - spec.value_g(x) - 0.1 * (7.0 - 5.0)) < 1e-15
     for gamma in (0.0, -0.1, np.nan, np.inf):
-        with pytest.raises(ValueError, match="gamma must be positive"):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(
+                "gamma must be finite and > 0: %r" % gamma)):
             cs.build_cs_problem(dataclasses.replace(inst, gamma=gamma))
 
 

@@ -82,7 +82,10 @@ def test_kernel_matches_legacy_loops(case, loss, seed):
         new = run_new(spec, solver, params)
         status, iterations, trace, c, violation = run_legacy(spec, solver, params)
         assert (new.status, new.iterations) == (status, iterations)
-        assert new.lyapunov_c == c
+        # the kernel's Lyapunov values take the legacy loop's weight c
+        t = new.trace
+        assert t.lyapunov == t.objective[:1] + [
+            f + c * s * s for f, s in zip(t.objective[1:], t.step_norms[1:])]
         assert_schedule_matches_legacy(spec, solver, params, trace, iterations)
         assert len(trace.iterates) == iterations + 1
         assert_iterates_match(new, trace, solver)
@@ -183,19 +186,19 @@ def test_support_products_solve_like_full_products(case, seed):
         assert abs(sup.objective - mat.objective) <= 1e-12 * abs(mat.objective)
 
 
-def prox_failing_at(spec, k, bad):
-    """spec whose prox_fC returns a finite point except at call k (0-based),
-    where entry 0 of its output is replaced by bad."""
+def oracle_failing_at(spec, name, k, bad):
+    """spec whose oracle name returns bad in entry 0 of its output at call k."""
     calls = [0]
+    fn = getattr(spec, name)
 
-    def prox_fC(w, tau):
-        out = spec.prox_fC(w, tau)
+    def oracle(*args):
+        out = np.array(fn(*args))
         if calls[0] == k:
             out[0] = bad
         calls[0] += 1
         return out
 
-    return dataclasses.replace(spec, prox_fC=prox_fC)
+    return dataclasses.replace(spec, **{name: oracle})
 
 
 #: (bad value, instance) inputs; case 2 is above cs.SCREEN_MIN_ENTRIES
@@ -210,7 +213,7 @@ NON_FINITE_INPUTS = [
 @pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
 def test_non_finite_iterate_raises_at_its_iteration(solver, bad, case):
     inst = cs.make_instance(case, 3, 0.1, "least-squares")
-    spec = prox_failing_at(cs.build_cs_problem(inst), 7, bad)
+    spec = oracle_failing_at(cs.build_cs_problem(inst), "prox_fC", 7, bad)
     params = sweep_params(spec, solver, 50, stop_rel_tol=0.0)
     with pytest.raises(FloatingPointError, match="non-finite iterate at iteration 7$"):
         run_new(spec, solver, params)
@@ -219,7 +222,7 @@ def test_non_finite_iterate_raises_at_its_iteration(solver, bad, case):
 @pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
 def test_finite_iterate_whose_step_overflows_does_not_raise(solver):
     inst = cs.make_instance(("gaussian", 40, 120, 6), 3, 0.1, "least-squares")
-    spec = prox_failing_at(cs.build_cs_problem(inst), 7, 1e200)
+    spec = oracle_failing_at(cs.build_cs_problem(inst), "prox_fC", 7, 1e200)
     with np.errstate(over="ignore"):  # ||x_8 - x_7||^2 overflows, by design
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -235,7 +238,7 @@ def test_finite_iterate_whose_step_overflows_does_not_raise(solver):
 def test_nan_objective_is_reported_as_nan_violation(solver):
     # x_8 has the finite entry 1e200: F(x_8) = finite + inf - inf = nan
     inst = cs.make_instance(("gaussian", 40, 120, 6), 3, 0.1, "least-squares")
-    spec = prox_failing_at(cs.build_cs_problem(inst), 7, 1e200)
+    spec = oracle_failing_at(cs.build_cs_problem(inst), "prox_fC", 7, 1e200)
     with np.errstate(over="ignore", invalid="ignore"):
         rep = run_new(spec, solver, sweep_params(spec, solver, 8, stop_rel_tol=0.0))
     assert np.isnan(rep.objective)
@@ -381,21 +384,6 @@ def test_screened_iteration_makes_one_apply_and_one_adjoint_product(solver):
     assert counts == {"apply": 1 + 120, "adjoint": 120 - columns}
     # at most one column product per iteration
     assert len({n for n, _, _ in spec.screen.calls}) == columns
-
-
-def oracle_failing_at(spec, name, k, bad):
-    """spec whose oracle name returns bad in entry 0 of its output at call k."""
-    calls = [0]
-    fn = getattr(spec, name)
-
-    def oracle(*args):
-        out = np.array(fn(*args))
-        if calls[0] == k:
-            out[0] = bad
-        calls[0] += 1
-        return out
-
-    return dataclasses.replace(spec, **{name: oracle})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

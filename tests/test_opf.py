@@ -2,6 +2,7 @@ import dataclasses
 import importlib.resources
 import itertools
 import json
+import re
 import shutil
 
 import numpy as np
@@ -189,8 +190,10 @@ def test_gradient_of_g_closed_form(built):
 
 
 def test_build_rejects_bad_gamma(net):
-    for gamma in (0.0, np.nan):
-        with pytest.raises(ValueError, match="gamma must be positive"):
+    # an infinite gamma made g -inf at every fractional plan
+    for gamma in (0.0, np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(
+                "gamma must be finite and > 0: %r" % gamma)):
             opf.build_dcopf(dataclasses.replace(net, gamma=gamma))
 
 

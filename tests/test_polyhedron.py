@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from oracle_helpers import combinatorial_projection, random_polytope
@@ -28,10 +30,20 @@ def test_validation():
                      ("E", dict(E=[[np.inf, 1.0]], e=[1.0]))]:
         with pytest.raises(ValueError, match="%s has a non-finite entry" % name):
             PolyhedralSet(2, lo=-np.ones(2), hi=np.ones(2), **kw)
-    # a NaN tol ran every projection to its step cap
-    for tol in (0.0, np.nan):
-        with pytest.raises(ValueError, match="tol must be positive"):
+    # a NaN tol ran every projection to its step cap, and an infinite one
+    # passed every certificate, whatever the residual
+    for tol in (0.0, np.nan, np.inf, True):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(
+                "tol must be finite and > 0: %r" % tol)):
             PolyhedronProjector(PolyhedralSet(2), tol=tol)
+    # a scalar w was broadcast to every coordinate, and a w of the wrong
+    # length failed in numpy's broadcasting
+    proj = PolyhedronProjector(PolyhedralSet(3, lo=np.zeros(3), hi=np.ones(3)))
+    for w in (5.0, np.ones(4), np.ones((1, 3))):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(
+                "w has shape %s, not (3,)" % (np.shape(w),))):
+            proj.project(w)
+    assert np.array_equal(proj.project([0.5, 2.0, -1.0]), [0.5, 1.0, 0.0])
 
 
 def test_residual():
