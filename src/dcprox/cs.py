@@ -12,7 +12,7 @@ from .linop import LinearMap, gram_spectrum
 # unused here: kept only because perfbench's tracer patches cs.spectral_norm
 from .linop import spectral_norm  # noqa: F401
 from .oracles import Loss, norm_subgradient, soft_threshold
-from .problem import L1Screen, ProblemSpec, check_number
+from .problem import L1Screen, ProblemSpec, check_count, check_number
 
 #: case id -> (matrix kind, m, d, s)
 CASES = {
@@ -176,6 +176,8 @@ def make_instance(case, seed, gamma, loss_kind):
     the 1/sqrt(m)-scaled ensemble for the least-squares loss and the
     row-orthonormal ensemble for the Lorentzian loss.
     """
+    if not isinstance(case, tuple):
+        check_count("case", case)
     kind, m, d, s = case if isinstance(case, tuple) else CASES[case]
     mat_seed, gt_seed = (int(v) for v in np.random.SeedSequence(seed).generate_state(2))
     if kind == "gaussian":

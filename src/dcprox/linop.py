@@ -5,6 +5,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .problem import check_count, check_number
+
 #: x of length d counts as sparse when SPARSE_CUT * nnz(x) <= d
 SPARSE_CUT = 8
 
@@ -26,8 +28,8 @@ class LinearMap:
     matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.dim_in <= 0 or self.dim_out <= 0:
-            raise ValueError("map dimensions must be positive")
+        check_count("dim_in", self.dim_in)
+        check_count("dim_out", self.dim_out)
 
     def dense(self):
         """The dim_out x dim_in matrix of the map.
@@ -94,9 +96,7 @@ def gram_spectrum(A):
 
 
 class SpectralNormError(RuntimeError):
-    def __init__(self, message, last_estimate):
-        super().__init__(message)
-        self.last_estimate = last_estimate
+    """Power iteration did not converge within max_iter iterations."""
 
 
 def spectral_norm(map_, tol=1e-9, max_iter=5000, seed=0):
@@ -110,8 +110,7 @@ def spectral_norm(map_, tol=1e-9, max_iter=5000, seed=0):
     1 and 2 (seeds 0-11) it lies below np.linalg.norm(A, 2) by up to
     1.6e-7 relative.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_number("tol", tol, positive=True)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(map_.dim_in)
     v /= np.linalg.norm(v)
@@ -127,6 +126,5 @@ def spectral_norm(map_, tol=1e-9, max_iter=5000, seed=0):
         if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
             return sigma_new * (1.0 + tol)
         sigma = sigma_new
-    raise SpectralNormError(
-        "power iteration did not converge in %d iterations" % max_iter, sigma
-    )
+    raise SpectralNormError("power iteration did not converge in %d iterations"
+                            % max_iter)

@@ -8,8 +8,8 @@ import numpy as np
 
 def soft_threshold(w, t):
     """Componentwise sign(w_i) max(0, |w_i| - t): the prox of t ||.||_1."""
-    if t < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not t >= 0:  # also rejects NaN; one comparison, as this runs per iteration
+        raise ValueError("threshold must be >= 0: %r" % (t,))
     return np.copysign(np.maximum(np.abs(w) - t, 0.0), w)
 
 

@@ -19,7 +19,7 @@ before it is returned.
 
 import numpy as np
 
-from .problem import check_number
+from .problem import check_count, check_number
 
 
 class ProjectionError(RuntimeError):
@@ -39,7 +39,8 @@ class PolyhedralSet:
     """Linear equalities, inequalities, and box bounds on R^d."""
 
     def __init__(self, dim, E=None, e=None, G=None, g=None, lo=None, hi=None):
-        self.dim = int(dim)
+        check_count("dim", dim)
+        self.dim = dim
         self.E = np.zeros((0, dim)) if E is None else np.atleast_2d(np.asarray(E, float))
         self.e = np.zeros(0) if e is None else np.atleast_1d(np.asarray(e, float))
         self.G = np.zeros((0, dim)) if G is None else np.atleast_2d(np.asarray(G, float))

@@ -1,4 +1,4 @@
-"""Problem and parameter data model shared by all solvers."""
+"""Problem data model and the shared input checks; imports nothing from dcprox."""
 
 import math
 import operator
@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-
-from .linop import LinearMap
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ class ProblemSpec:
     value_f: Callable[[np.ndarray], float]
     value_h: Callable[[np.ndarray], float]
     value_g: Callable[[np.ndarray], float]
-    map_A: LinearMap
+    map_A: "LinearMap"  # dcprox.linop.LinearMap
     lipschitz_ell: float
     norm_A: float
     weak_convexity_beta: float = 0.0

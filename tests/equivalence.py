@@ -20,8 +20,9 @@ mean_error and mean_objective must agree to REL_TOL relative.  What
 rounding alone moves (between BLAS thread counts, say) is counted and
 reported, never failed: the hashes of x and of the trace, best_x, the plan
 JSON, the Lyapunov violations, the detail text of `dcprox check`, the
-stdout of `dcprox opf-run` and env.  A field only the second document has
-is reported as added; one it lacks, or one without a rule, fails.
+stdout of `dcprox opf-run` and env, whose differing keys are printed with
+both values.  A field only the second document has is reported as added;
+one it lacks, or one without a rule, fails.
 
 Without --compare it prints one JSON document of hex floats and SHA-256
 hashes:
@@ -247,6 +248,7 @@ class Comparison:
         self.moved = collections.Counter()
         self.seen = collections.Counter()
         self.added = []
+        self.env_moves = []
 
     def exact(self, path, where, a, b):
         if a != b:
@@ -263,6 +265,14 @@ class Comparison:
     def count(self, path, where, a, b):
         self.seen[path] += 1
         self.moved[path] += a != b
+
+    def env(self, path, where, a, b):
+        """env: counted as one item, each key that differs noted with both
+        values, since they say why hashes of x may have moved."""
+        self.count(path, where, a, b)
+        self.env_moves += ["%s.%s: %r != %r" % (where, key, a.get(key), b.get(key))
+                           for key in sorted(a.keys() | b.keys())
+                           if a.get(key) != b.get(key)]
 
     def csv(self, path, where, a, b):
         """Sweep-CSV lines, each column by its rule in CSV_RULES."""
@@ -318,7 +328,7 @@ CSV_RULES = {
 CHECK_LINE = re.compile(r"^(.*?) +(PASS|FAIL)  (.*)$")
 #: rule of each field path; "[]" stands for any list index
 RULES = {
-    "env": "count",
+    "env": "env",
     "sweep_csvs.least-squares": "csv",
     "sweep_csvs.lorentzian": "csv",
     "opf_model": "exact",
@@ -387,6 +397,8 @@ def run_compare(path_a, path_b):
     print("equivalent: exact fields equal, numbers within %g relative" % REL_TOL)
     for path in sorted(cmp.seen):
         print("moved %d of %d: %s" % (cmp.moved[path], cmp.seen[path], path))
+    for line in cmp.env_moves:
+        print(line)
     for where in cmp.added:
         print("added: %s" % where)
 

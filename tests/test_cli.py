@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from dcprox import bench, cli, cs
+from dcprox import bench, cli, cs, opf
 from dcprox.linop import LinearMap
 from dcprox.polyhedron import PolyhedronProjector, ProjectionError
 from dcprox.problem import ProblemSpec
@@ -458,6 +458,47 @@ def test_run_checks_surfaces_injected_failure(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert failures == 1
     assert "injected breaker" in out and "FAIL" in out
+
+
+def test_run_checks_reports_a_suite_that_raises(monkeypatch, capsys):
+    def _check_projection(rng):
+        raise RuntimeError("broken suite")
+
+    monkeypatch.setattr(bench, "_check_projection", _check_projection)
+    assert bench.run_checks() == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert [r for r in rows if r.startswith("_check_projection")] == [
+        "%-32s FAIL  %r" % ("_check_projection", RuntimeError("broken suite"))]
+    assert rows[-1].endswith(" 1 failures")
+
+
+def test_cli_check_stops_the_network_checks_at_a_load_error(monkeypatch, capsys):
+    error = opf.NetworkLoadError("missing bus in bus.csv")
+
+    def load_network(data_dir=None):
+        raise error
+
+    monkeypatch.setattr(opf, "load_network", load_network)
+    assert cli.main(["check"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    # the network suite runs last: its load line comes just before the summary
+    assert rows[-2] == "%-32s FAIL  %r" % ("network load", error)
+    assert rows[-1].endswith(" 1 failures")
+    assert not any(r.startswith(("demand bus 1", "h at origin")) for r in rows)
+
+
+def test_problem_module_imports_nothing_from_the_package():
+    # problem is the base module that linop, polyhedron and cs take their
+    # checks from; an import of any of them back would be a cycle.  The
+    # package __init__ imports every module, so a bare package stands in.
+    code = ("import sys, types; pkg = types.ModuleType('dcprox'); "
+            "pkg.__path__ = [%r]; sys.modules['dcprox'] = pkg; "
+            "import dcprox.problem; "
+            "print(sorted(m for m in sys.modules if m.startswith('dcprox.')))"
+            % str(SRC / "dcprox"))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "['dcprox.problem']"
 
 
 def test_package_imports_no_scipy():

@@ -157,6 +157,14 @@ def test_make_instance_rejects_unknown_matrix_kind():
         cs.make_instance(("fourier", 20, 50, 4), 0, 0.1, "least-squares")
 
 
+def test_make_instance_rejects_a_non_integer_case_id():
+    # True and 1.0 hash as 1 and built case 1 without a word
+    for case in (True, 1.0):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(
+                "case must be an integer >= 1: %r" % case)):
+            cs.make_instance(case, 0, 0.1, "least-squares")
+
+
 def test_make_instance_per_loss_ensembles():
     ls = cs.make_instance(1, 0, 0.1, "least-squares")
     lz = cs.make_instance(1, 0, 0.001, "lorentzian")

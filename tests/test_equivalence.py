@@ -205,6 +205,17 @@ def test_fields_missing_added_or_without_a_rule():
         equivalence.compare(changed(add_column), changed(add_column))
 
 
+def test_env_moves_name_each_key_with_both_values():
+    def move_env(doc):
+        doc["env"].update(OPENBLAS_NUM_THREADS="1", openblas_threads=1, cpus=4)
+
+    cmp = equivalence.compare(fingerprint(), changed(move_env))
+    assert cmp.moved["env"] == 1 and cmp.seen["env"] == 1
+    assert cmp.env_moves == ["env.OPENBLAS_NUM_THREADS: None != '1'",
+                             "env.cpus: None != 4", "env.openblas_threads: 2 != 1"]
+    assert equivalence.compare(fingerprint(), fingerprint()).env_moves == []
+
+
 def test_run_compare_exits_1_on_a_miss(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps(fingerprint()))
@@ -213,6 +224,7 @@ def test_run_compare_exits_1_on_a_miss(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("equivalent: exact fields equal, numbers within 1e-12")
     assert "moved 1 of 1: solves[].x" in out
+    assert "moved 1 of 1: env\n" in out and "env.openblas_threads: 2 != 1\n" in out
     b.write_text(json.dumps(changed(MISSES["one more iteration"][0])))
     with pytest.raises(SystemExit) as err:
         equivalence.run_compare(a, b)

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -51,8 +53,13 @@ def test_map_is_a_frozen_record():
 
 
 def test_map_rejects_empty_dimensions():
-    with pytest.raises(ValueError, match="dimensions must be positive"):
-        LinearMap(lambda x: x, lambda y: y, 0, 2)
+    # float and bool dimensions were accepted
+    for name in ("dim_in", "dim_out"):
+        for bad in (0, 2.5, True):
+            dims = {"dim_in": 3, "dim_out": 2, name: bad}
+            with pytest.raises(ValueError, match="^%s$" % re.escape(
+                    "%s must be an integer >= 1: %r" % (name, bad))):
+                LinearMap(lambda x: x, lambda y: y, **dims)
 
 
 def support_cases(d, rng):
@@ -132,5 +139,8 @@ def test_spectral_norm_nonconvergence_raises():
 
 
 def test_spectral_norm_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        spectral_norm(LinearMap.identity(2), tol=0.0)
+    # a NaN tol ran all max_iter iterations and raised SpectralNormError
+    for tol in (math.nan, math.inf, 0.0, True):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(
+                "tol must be finite and > 0: %r" % tol)):
+            spectral_norm(LinearMap.identity(2), tol=tol)

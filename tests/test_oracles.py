@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -26,8 +29,11 @@ def test_soft_threshold_closed_form_points():
 
 
 def test_soft_threshold_negative_threshold_raises():
-    with pytest.raises(ValueError):
-        soft_threshold(np.ones(2), -1e-3)
+    # a NaN threshold returned an all-NaN vector
+    for t in (-1e-3, math.nan):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(
+                "threshold must be >= 0: %r" % t)):
+            soft_threshold(np.ones(2), t)
 
 
 def test_norm_subgradient():

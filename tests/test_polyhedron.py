@@ -13,6 +13,11 @@ from dcprox.polyhedron import (
 
 
 def test_validation():
+    # float and bool dimensions failed in numpy, and 0 was accepted
+    for dim in (2.5, True, 0, -1):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(
+                "dim must be an integer >= 1: %r" % dim)):
+            PolyhedralSet(dim)
     with pytest.raises(ValueError):
         PolyhedralSet(2, G=np.ones((1, 3)), g=np.ones(1))
     with pytest.raises(ValueError):
