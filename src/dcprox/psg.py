@@ -110,6 +110,9 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
     iteration makes one full or one column-subset A* product either way.
     """
     x = np.array(x0, dtype=float)
+    d = spec.map_A.dim_in
+    if x.shape != (d,):
+        raise ValueError("x0 has shape %s, not (%d,)" % (x.shape, d))
     if spec.is_feasible is not None and not spec.is_feasible(x):
         raise ValueError("starting point is infeasible")
 
@@ -120,7 +123,6 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
 
     period = len(lams)
     screen, ref = spec.screen, None
-    d = spec.map_A.dim_in
     x_prev, Ax_prev = x, Ax
     status = "max-iter"
     t0 = time.perf_counter()

@@ -1,25 +1,15 @@
-import re
-
 import numpy as np
 import pytest
+from test_entry_checks import rows_test
+from test_kernel import make_problem
 
 from dcprox import cs
 from dcprox.baselines import BaselineParams, gppa_solve, pdcae_solve
 from dcprox.problem import SolverParams, tau_upper_bound
 from dcprox.psg import solve as psg_solve
 
-
-def make_problem(seed=0):
-    inst = cs.make_instance(("gaussian", 40, 120, 6), seed, 0.1, "least-squares")
-    return inst, cs.build_cs_problem(inst)
-
-
-def test_params_validation():
-    # the loop fields are checked in test_params::test_loop_params_validation
-    for bad in (0.0, -0.1, np.nan, np.inf, True):
-        with pytest.raises(ValueError, match="^%s$" % re.escape(
-                "step_tau must be finite and > 0: %r" % bad)):
-            BaselineParams(step_tau=bad)
+test_params_validation = rows_test(BaselineParams, match="^step_tau ")
+test_baseline_rejects_infeasible_start = rows_test(gppa_solve, match="infeasible")
 
 
 def test_gppa_single_step_formula():
@@ -77,15 +67,6 @@ def test_zero_momentum_psg_equals_gppa_trajectory():
     diffs = [np.max(np.abs(xa - xb))
              for xa, xb in zip(a.trace.iterates, b.trace.iterates)]
     assert max(diffs) <= 1e-12
-
-
-def test_baseline_rejects_infeasible_start():
-    inst, spec = make_problem()
-    from dataclasses import replace
-
-    guarded = replace(spec, is_feasible=lambda x: False)
-    with pytest.raises(ValueError):
-        gppa_solve(guarded, np.zeros(inst.d), BaselineParams(step_tau=0.1))
 
 
 @pytest.mark.parametrize("keep, kept", [(None, False), (True, True), (False, False)])

@@ -27,6 +27,12 @@ def sweep_params(spec, solver, max_iter, stop_rel_tol=1e-8, keep_iterates=True):
     )
 
 
+def make_problem(seed=0):
+    """A small least-squares instance and its problem."""
+    inst = cs.make_instance(("gaussian", 40, 120, 6), seed, 0.1, "least-squares")
+    return inst, cs.build_cs_problem(inst)
+
+
 def run_new(spec, solver, params):
     x0 = np.zeros(spec.map_A.dim_in)
     fn = {"proposed": solve, "gppa": gppa_solve, "pdcae": pdcae_solve}[solver]
@@ -101,8 +107,7 @@ def test_kernel_matches_legacy_loops(case, loss, seed):
 def test_momentum_table_matches_per_iteration_schedule(solver, restart_period):
     # the table covers one restart period (7 wraps, 60 outlasts the run) or,
     # with no restart, every iteration
-    inst = cs.make_instance(("gaussian", 40, 120, 6), 3, 0.1, "least-squares")
-    spec = cs.build_cs_problem(inst)
+    _, spec = make_problem(3)
     params = dataclasses.replace(sweep_params(spec, solver, 40, stop_rel_tol=0.0),
                                  restart_period=restart_period)
     new = run_new(spec, solver, params)
@@ -131,8 +136,7 @@ def counting(map_):
 
 @pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
 def test_one_apply_and_one_adjoint_per_iteration(solver):
-    inst = cs.make_instance(("gaussian", 40, 120, 6), 3, 0.1, "least-squares")
-    spec = cs.build_cs_problem(inst)
+    _, spec = make_problem(3)
     map_A, counts = counting(spec.map_A)
     spec = dataclasses.replace(spec, map_A=map_A)
     rep = run_new(spec, solver, sweep_params(spec, solver, 50, stop_rel_tol=0.0))
@@ -221,8 +225,7 @@ def test_non_finite_iterate_raises_at_its_iteration(solver, bad, case):
 
 @pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
 def test_finite_iterate_whose_step_overflows_does_not_raise(solver):
-    inst = cs.make_instance(("gaussian", 40, 120, 6), 3, 0.1, "least-squares")
-    spec = oracle_failing_at(cs.build_cs_problem(inst), "prox_fC", 7, 1e200)
+    spec = oracle_failing_at(make_problem(3)[1], "prox_fC", 7, 1e200)
     with np.errstate(over="ignore"):  # ||x_8 - x_7||^2 overflows, by design
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -237,8 +240,7 @@ def test_finite_iterate_whose_step_overflows_does_not_raise(solver):
 @pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
 def test_nan_objective_is_reported_as_nan_violation(solver):
     # x_8 has the finite entry 1e200: F(x_8) = finite + inf - inf = nan
-    inst = cs.make_instance(("gaussian", 40, 120, 6), 3, 0.1, "least-squares")
-    spec = oracle_failing_at(cs.build_cs_problem(inst), "prox_fC", 7, 1e200)
+    spec = oracle_failing_at(make_problem(3)[1], "prox_fC", 7, 1e200)
     with np.errstate(over="ignore", invalid="ignore"):
         rep = run_new(spec, solver, sweep_params(spec, solver, 8, stop_rel_tol=0.0))
     assert np.isnan(rep.objective)

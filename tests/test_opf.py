@@ -2,11 +2,11 @@ import dataclasses
 import importlib.resources
 import itertools
 import json
-import re
 import shutil
 
 import numpy as np
 import pytest
+from test_entry_checks import rows_test
 
 from dcprox import bench, opf
 from dcprox.polyhedron import (
@@ -16,6 +16,8 @@ from dcprox.polyhedron import (
 )
 from dcprox.problem import SolverParams, tau_upper_bound
 from dcprox.psg import solve
+
+test_build_rejects_bad_gamma = rows_test(opf.build_dcopf)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +49,15 @@ def _copy_data(tmp_path):
     return dst
 
 
+def _edited_data(tmp_path, name, old, new):
+    """A copy of the bundled data whose file name has old replaced by new."""
+    d = _copy_data(tmp_path)
+    text = (d / name).read_text()
+    assert old in text
+    (d / name).write_text(text.replace(old, new))
+    return d
+
+
 def test_load_network_reads_only_the_dc_files(tmp_path):
     src = importlib.resources.files("dcprox") / "data"
     d = tmp_path / "data"
@@ -61,33 +72,24 @@ def test_load_network_reads_only_the_dc_files(tmp_path):
 
 
 def test_load_network_rejects_asymmetry(tmp_path):
-    d = _copy_data(tmp_path)
-    lines = (d / "susceptance.csv").read_text().splitlines()
-    parts = lines[1].split(",")
-    parts[2] = "123.0"  # b_{1,2} only, breaking symmetry
-    lines[1] = ",".join(parts)
-    (d / "susceptance.csv").write_text("\n".join(lines) + "\n")
+    # b_{1,2} only, breaking symmetry
+    d = _edited_data(tmp_path, "susceptance.csv", "\n1,-998,998,", "\n1,-998,123.0,")
     with pytest.raises(opf.NetworkLoadError, match="asymmetric"):
         opf.load_network(d)
 
 
 def test_load_network_rejects_negative_demand(tmp_path):
-    d = _copy_data(tmp_path)
-    text = (d / "demand.csv").read_text().replace("7.91e-03", "-7.91e-03")
-    (d / "demand.csv").write_text(text)
+    d = _edited_data(tmp_path, "demand.csv", "7.91e-03", "-7.91e-03")
     with pytest.raises(opf.NetworkLoadError, match="negative demand"):
         opf.load_network(d)
 
 
 def test_load_network_rejects_missing_bus(tmp_path):
-    d = _copy_data(tmp_path)
-    lines = (d / "demand.csv").read_text().splitlines()
-    (d / "demand.csv").write_text("\n".join(lines[:-1]) + "\n")
+    d = _edited_data(tmp_path / "vector", "demand.csv", "\n14,2.64e-03\n", "\n")
     with pytest.raises(opf.NetworkLoadError, match="missing bus"):
         opf.load_network(d)
-    d = _copy_data(tmp_path / "matrix")
-    lines = (d / "susceptance.csv").read_text().splitlines()
-    (d / "susceptance.csv").write_text("\n".join(lines[:-1]) + "\n")
+    last_row = "\n14," + "0," * 11 + "2040,0,-2040\n"
+    d = _edited_data(tmp_path / "matrix", "susceptance.csv", last_row, "\n")
     with pytest.raises(opf.NetworkLoadError,
                        match="missing bus in .*susceptance.csv"):
         opf.load_network(d)
@@ -123,12 +125,8 @@ def test_load_network_rejects_missing_bus(tmp_path):
         "inf-susceptance", "repeated-demand", "repeated-susceptance",
         "repeated-param", "repeated-generator-bus"])
 def test_load_network_rejects_bad_values(tmp_path, name, old, new, match):
-    d = _copy_data(tmp_path)
-    text = (d / name).read_text()
-    assert old in text
-    (d / name).write_text(text.replace(old, new))
     with pytest.raises(opf.NetworkLoadError, match=match):
-        opf.load_network(d)
+        opf.load_network(_edited_data(tmp_path, name, old, new))
 
 
 def test_load_network_rejects_malformed_file(tmp_path):
@@ -137,9 +135,7 @@ def test_load_network_rejects_malformed_file(tmp_path):
     with pytest.raises(opf.NetworkLoadError):
         opf.load_network(d)
     # a demand row without its value
-    d = _copy_data(tmp_path / "short-row")
-    text = (d / "demand.csv").read_text().replace("2,0\n", "2\n")
-    (d / "demand.csv").write_text(text)
+    d = _edited_data(tmp_path / "short-row", "demand.csv", "2,0\n", "2\n")
     with pytest.raises(opf.NetworkLoadError, match="malformed network files"):
         opf.load_network(d)
 
@@ -187,14 +183,6 @@ def test_gradient_of_g_closed_form(built):
     x[lay.x_bin] = 0.25
     grad = spec.subgrad_g(x)
     assert np.allclose(grad[lay.x_bin], 1.0 * (2 * 0.25 - 1.0))
-
-
-def test_build_rejects_bad_gamma(net):
-    # an infinite gamma made g -inf at every fractional plan
-    for gamma in (0.0, np.nan, np.inf, -1.0):
-        with pytest.raises(ValueError, match="^%s$" % re.escape(
-                "gamma must be finite and > 0: %r" % gamma)):
-            opf.build_dcopf(dataclasses.replace(net, gamma=gamma))
 
 
 def test_solve_from_nan_start_is_infeasible(built):
@@ -363,8 +351,6 @@ def test_run_opf_builds_one_model(net, monkeypatch):
 
 
 def test_build_dcopf_makes_one_projector(net, monkeypatch):
-    from dcprox.polyhedron import PolyhedronProjector
-
     made = []
     init = PolyhedronProjector.__init__
 

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,14 +8,11 @@ from dcprox import cs
 from dcprox.linop import LinearMap
 from dcprox.problem import L1Screen, SolverParams, tau_upper_bound
 from dcprox.psg import lyapunov_c, momentum_table, solve, tail_linear_fit
-from test_kernel import run_new, sweep_params
+from test_entry_checks import rows_test
+from test_kernel import make_problem, run_new, sweep_params
 
+test_solve_rejects_infeasible_start = rows_test(solve, match="infeasible")
 GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
-
-
-def make_problem(seed=0, m=40, d=120, s=6, gamma=0.1, loss="least-squares"):
-    inst = cs.make_instance(("gaussian", m, d, s), seed, gamma, loss)
-    return inst, cs.build_cs_problem(inst)
 
 
 def unrolled(table, iterations):
@@ -89,19 +87,8 @@ def test_solve_descends_and_converges():
     assert len(rep.trace.objective) == rep.iterations + 1
 
 
-def test_solve_rejects_infeasible_start():
-    inst, spec = make_problem()
-    from dataclasses import replace
-
-    guarded = replace(spec, is_feasible=lambda x: False)
-    with pytest.raises(ValueError):
-        solve(guarded, np.zeros(inst.d), SolverParams())
-
-
 def test_solve_surfaces_nonfinite_iterates():
     inst, spec = make_problem()
-    from dataclasses import replace
-
     broken = replace(spec, grad_h=lambda z: z * np.nan)
     with pytest.raises(FloatingPointError):
         solve(broken, np.zeros(inst.d), SolverParams(max_iter=5))
@@ -112,7 +99,6 @@ def test_solve_wraps_prox_failures(solver):
     # each oracle is called once per iteration, so its 4th call is in
     # iteration 3; the message names the oracle that raised
     inst, spec = make_problem()
-    from dataclasses import replace
 
     def fails_at_4th_call(good):
         calls = [0]
@@ -156,8 +142,6 @@ def test_lyapunov_monitor_flags_injected_increase(solver):
     # call inflates F(x_10) by 1.0 and the monitored decrease at iteration 10
     # by about as much
     _, spec = make_problem()
-    from dataclasses import replace
-
     calls = [0]
 
     def value_h(z):
