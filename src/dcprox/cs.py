@@ -175,10 +175,13 @@ def make_instance(case, seed, gamma, loss_kind):
     The target is the noiseless measurement b = A x_g.  Gaussian cases use
     the 1/sqrt(m)-scaled ensemble for the least-squares loss and the
     row-orthonormal ensemble for the Lorentzian loss.  case is a key of
-    CASES or a (kind, m, d, s) tuple, seed an integer >= 0 and loss_kind a
-    key of oracles.LOSS_LIPSCHITZ; anything else raises ValueError.
+    CASES or a (kind, m, d, s) tuple, seed an integer >= 0, gamma finite and
+    > 0 and loss_kind a key of oracles.LOSS_LIPSCHITZ; anything else raises
+    ValueError.
     """
     if isinstance(case, tuple):
+        if len(case) != 4:
+            raise ValueError("case must be a (kind, m, d, s) tuple: %r" % (case,))
         kind, m, d, s = case
         for name, value in (("m", m), ("d", d), ("s", s)):
             check_count(name, value)
@@ -188,6 +191,7 @@ def make_instance(case, seed, gamma, loss_kind):
             raise ValueError("unknown case id %r (known: %s)" % (case, sorted(CASES)))
         kind, m, d, s = CASES[case]
     check_count("seed", seed, least=0)
+    check_number("gamma", gamma, positive=True)
     Loss(loss_kind, ())  # Loss's own check of the kind, before any draw
     mat_seed, gt_seed = (int(v) for v in np.random.SeedSequence(seed).generate_state(2))
     if kind == "gaussian":

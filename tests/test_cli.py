@@ -24,16 +24,21 @@ test_config_rejects_zero_opf_starts = rows_test(bench.OPFConfig, match="^opf_sta
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def test_parse_config(tmp_path):
+def config_file(tmp_path, text):
     p = tmp_path / "cfg.txt"
-    p.write_text("# comment\ncases = 1, 5\nn_seeds = 2  # inline\n\nloss_kind = lorentzian\n")
+    p.write_text(text)
+    return p
+
+
+def test_parse_config(tmp_path):
+    p = config_file(tmp_path, "# comment\ncases = 1, 5\nn_seeds = 2  # inline\n\n"
+                              "loss_kind = lorentzian\n")
     raw = cli.parse_config(p)
     assert raw == {"cases": "1, 5", "n_seeds": "2", "loss_kind": "lorentzian"}
 
 
 def test_parse_config_rejects_garbage(tmp_path):
-    p = tmp_path / "cfg.txt"
-    p.write_text("just some words\n")
+    p = config_file(tmp_path, "just some words\n")
     with pytest.raises(ValueError, match="key = value"):
         cli.parse_config(p)
     # the last of two values was kept without a word
@@ -73,8 +78,7 @@ def test_config_rejects_unknown_key():
 def test_cli_rejects_keys_of_other_commands(tmp_path, command, line):
     # each command takes only the fields of its own config class; the
     # solver parameters, gamma and the iteration caps are not config keys
-    p = tmp_path / "cfg.txt"
-    p.write_text(line + "\n")
+    p = config_file(tmp_path, line + "\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     run = subprocess.run([sys.executable, "-m", "dcprox.cli", command,
                           "--config", str(p)],
@@ -111,8 +115,7 @@ def test_config_rejects_empty_lists(cls, key):
 
 
 def test_cli_cs_run_fails_at_config_load(tmp_path):
-    p = tmp_path / "cfg.txt"
-    p.write_text("cases = 1\nloss_kind = lorentz\n")
+    p = config_file(tmp_path, "cases = 1\nloss_kind = lorentz\n")
     with rejection(bench.SweepConfig, "loss_kind", "lorentz"):
         cli.main(["cs-run", "--config", str(p)])
 
@@ -231,8 +234,7 @@ def test_sweep_records_a_cell_whose_setup_fails(tmp_path, monkeypatch, capsys):
         return make_instance(case, *args)
 
     monkeypatch.setattr(cs, "make_instance", failing_case_5)
-    p = tmp_path / "cfg.txt"
-    p.write_text("cases = 1, 5\nsolvers = gppa, proposed\nn_seeds = 1\n")
+    p = config_file(tmp_path, "cases = 1, 5\nsolvers = gppa, proposed\nn_seeds = 1\n")
     assert cli.main(["cs-run", "--config", str(p)]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
@@ -257,8 +259,7 @@ def test_cli_bad_output_path_fails_before_any_solve(tmp_path, monkeypatch,
     solve_cell = bench._solve_cell
     monkeypatch.setattr(bench, "_solve_cell",
                         lambda *args: calls.append(args) or solve_cell(*args))
-    p = tmp_path / "cfg.txt"
-    p.write_text(line % (tmp_path / "missing-dir" / "out"))
+    p = config_file(tmp_path, line % (tmp_path / "missing-dir" / "out"))
     with pytest.raises(FileNotFoundError):
         cli.main([command, "--config", str(p)])
     assert calls == []
@@ -314,8 +315,7 @@ def test_opf_failed_start_is_recorded_with_its_cause(tmp_path, monkeypatch,
     assert res.best_report is not None
 
     seen.clear()
-    p = tmp_path / "cfg.txt"
-    p.write_text("opf_starts = 3\n")
+    p = config_file(tmp_path, "opf_starts = 3\n")
     assert cli.main(["opf-run", "--config", str(p)]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
@@ -355,8 +355,7 @@ def test_opf_start_whose_projection_fails_is_recorded(tmp_path, monkeypatch,
     assert res.best_report is not None
 
     calls.clear()
-    p = tmp_path / "cfg.txt"
-    p.write_text("opf_starts = 3\n")
+    p = config_file(tmp_path, "opf_starts = 3\n")
     assert cli.main(["opf-run", "--config", str(p)]) == 1
     captured = capsys.readouterr()
     assert captured.err == "3 start(s) failed\n" + "".join(
@@ -366,8 +365,7 @@ def test_opf_start_whose_projection_fails_is_recorded(tmp_path, monkeypatch,
 
 
 def test_cli_cs_run(tmp_path, capsys):
-    p = tmp_path / "cfg.txt"
-    p.write_text("cases = 1\nsolvers = proposed\nn_seeds = 1\n")
+    p = config_file(tmp_path, "cases = 1\nsolvers = proposed\nn_seeds = 1\n")
     rc = cli.main(["cs-run", "--config", str(p)])
     out = capsys.readouterr().out
     assert rc == 0
@@ -377,8 +375,7 @@ def test_cli_cs_run(tmp_path, capsys):
 
 def test_cli_opf_run(tmp_path, capsys):
     report = tmp_path / "plan.json"
-    p = tmp_path / "cfg.txt"
-    p.write_text("opf_starts = 2\nout_json = %s\n" % report)
+    p = config_file(tmp_path, "opf_starts = 2\nout_json = %s\n" % report)
     rc = cli.main(["opf-run", "--config", str(p)])
     out = capsys.readouterr().out.splitlines()
     assert rc == 0

@@ -2,7 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from test_entry_checks import rows_test
 
 from dcprox.linop import (
     LinearMap,
@@ -10,10 +9,6 @@ from dcprox.linop import (
     gram_spectrum,
     spectral_norm,
 )
-
-test_from_matrix_rejects_non_2d = rows_test(LinearMap.from_matrix)
-test_map_rejects_empty_dimensions = rows_test(LinearMap, LinearMap.identity)
-test_spectral_norm_rejects_bad_tol = rows_test(spectral_norm)
 
 
 def test_from_matrix_apply_adjoint():

@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
-from test_entry_checks import rows_test
 
 from dcprox.oracles import Loss, norm_subgradient, soft_threshold
-
-test_soft_threshold_negative_threshold_raises = rows_test(soft_threshold)
-test_dimension_mismatch_raises = rows_test(Loss.value, Loss.grad)
 
 
 def brute_force_prox_l1(w, t, halfwidth=4.0, n=80001):
