@@ -12,8 +12,8 @@ from .problem import SolverParams, check_count, check_number, tau_upper_bound
 
 SOLVERS = ("gppa", "pdcae", "proposed")
 
-#: (gamma, max_iter) of every sweep solve of a loss; the solvers run with the
-#: defaults of SolverParams and BaselineParams
+#: (gamma, max_iter) of every sweep solve of a loss; the solvers run with
+#: solver_params
 LOSS_DEFAULTS = {"least-squares": (0.1, 3000), "lorentzian": (0.001, 4000)}
 #: iteration cap of every OPF solve
 OPF_MAX_ITER = 1000
@@ -89,19 +89,25 @@ class RunRecord:
     failure: str = ""
 
 
-def _solve_cell(spec, x0, solver, max_iter):
+def solver_params(spec, solver, max_iter):
+    """The parameters every sweep and OPF solve of solver runs with: the
+    SolverParams defaults for "proposed", and for the baselines the step
+    0.8/(ell ||A||^2) (GPPA) or 1/(ell ||A||^2) with momentum (pDCAe)."""
     if solver == "proposed":
-        return psg.solve(spec, x0, SolverParams(max_iter=max_iter))
+        return SolverParams(max_iter=max_iter)
     lipschitz = spec.lipschitz_ell * spec.norm_A**2  # of grad (h o A)
     check_number("ell ||A||^2 of the baseline step", lipschitz, positive=True)
     base_tau = 1.0 / lipschitz
-    params = baselines.BaselineParams(
+    return baselines.BaselineParams(
         step_tau=0.8 * base_tau if solver == "gppa" else base_tau,
         max_iter=max_iter, extrapolation=solver == "pdcae",
     )
-    if solver == "gppa":
-        return baselines.gppa_solve(spec, x0, params)
-    return baselines.pdcae_solve(spec, x0, params)
+
+
+def _solve_cell(spec, x0, solver, max_iter):
+    solve = {"proposed": psg.solve, "gppa": baselines.gppa_solve,
+             "pdcae": baselines.pdcae_solve}[solver]
+    return solve(spec, x0, solver_params(spec, solver, max_iter))
 
 
 def _failure(exc):

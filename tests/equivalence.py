@@ -113,17 +113,19 @@ def array_digest(values):
     return hashlib.sha256(data).hexdigest()
 
 
+def without_wall_time(lines):
+    """The lines of a sweep CSV without its nondeterministic wall-time column."""
+    return [",".join(c for k, c in enumerate(line.split(",")) if k != WALL_TIME_COLUMN)
+            for line in lines]
+
+
 def sweep_csvs():
     out = {}
     for loss_kind, cases in SWEEPS.items():
         cfg = bench.SweepConfig(cases=cases, loss_kind=loss_kind,
                                 n_seeds=SWEEP_SEEDS)
         text = bench.results_csv_text(bench.run_cs_sweep(cfg).rows)
-        out[loss_kind] = [
-            ",".join(c for k, c in enumerate(line.split(","))
-                     if k != WALL_TIME_COLUMN)
-            for line in text.splitlines()
-        ]
+        out[loss_kind] = without_wall_time(text.splitlines())
     return out
 
 
@@ -171,11 +173,7 @@ def cli_stdout(argv, config=None):
 
 def cs_run_stdout():
     out = cli_stdout(["cs-run"], "cases = 1\nsolvers = proposed\nn_seeds = 1\n")
-    out["stdout"] = [
-        ",".join(c for k, c in enumerate(line.split(","))
-                 if k != WALL_TIME_COLUMN)
-        for line in out["stdout"]
-    ]
+    out["stdout"] = without_wall_time(out["stdout"])
     return out
 
 

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
-from test_entry_checks import rows_test
 from test_kernel import make_problem
 
 from dcprox import cs
 from dcprox.baselines import BaselineParams, gppa_solve, pdcae_solve
 from dcprox.problem import SolverParams, tau_upper_bound
 from dcprox.psg import solve as psg_solve
-
-test_params_validation = rows_test(BaselineParams, match="^step_tau ")
-test_baseline_rejects_infeasible_start = rows_test(gppa_solve, match="infeasible")
 
 
 def test_gppa_single_step_formula():

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from equivalence import without_wall_time
 from test_entry_checks import affine_spec, rejection, rows_test
 
 from dcprox import bench, cli, cs, opf
@@ -190,15 +191,8 @@ def test_sweep_csv_byte_stable():
                             n_seeds=2)
     a = bench.run_cs_sweep(cfg)
     b = bench.run_cs_sweep(cfg)
-
-    def strip_cpu(text):
-        head, *rows = text.splitlines()
-        cols = head.split(",")
-        keep = [i for i, c in enumerate(cols) if "nondeterministic" not in c]
-        return [",".join(np.array(r.split(","))[keep]) for r in [head] + rows]
-
-    assert strip_cpu(bench.results_csv_text(a.rows)) == strip_cpu(
-        bench.results_csv_text(b.rows))
+    assert without_wall_time(bench.results_csv_text(a.rows).splitlines()) == (
+        without_wall_time(bench.results_csv_text(b.rows).splitlines()))
     assert "nondeterministic" in bench.results_csv_text(a.rows).splitlines()[0]
 
 

@@ -8,23 +8,16 @@ import pytest
 
 import legacy_solvers
 from dcprox import bench, cs, psg
-from dcprox.baselines import BaselineParams, gppa_solve, pdcae_solve
+from dcprox.baselines import gppa_solve, pdcae_solve
 from dcprox.linop import LinearMap, gram_spectrum
-from dcprox.problem import L1Screen, SolverParams, tau_upper_bound
+from dcprox.problem import L1Screen, tau_upper_bound
 from dcprox.psg import solve
 
 
 def sweep_params(spec, solver, max_iter, stop_rel_tol=1e-8, keep_iterates=True):
-    """The step rules of bench._solve_cell, keeping every iterate by default."""
-    if solver == "proposed":
-        return SolverParams(max_iter=max_iter, stop_rel_tol=stop_rel_tol,
-                            keep_iterates=keep_iterates)
-    base_tau = 1.0 / (spec.lipschitz_ell * spec.norm_A**2)
-    return BaselineParams(
-        step_tau=0.8 * base_tau if solver == "gppa" else base_tau,
-        max_iter=max_iter, stop_rel_tol=stop_rel_tol,
-        extrapolation=solver == "pdcae", keep_iterates=keep_iterates,
-    )
+    """bench.solver_params, keeping every iterate by default."""
+    return dataclasses.replace(bench.solver_params(spec, solver, max_iter),
+                               stop_rel_tol=stop_rel_tol, keep_iterates=keep_iterates)
 
 
 def make_problem(seed=0):
@@ -100,6 +93,16 @@ def test_kernel_matches_legacy_loops(case, loss, seed):
                        for a, b in zip(new.trace.iterates, trace.iterates))
             assert new.trace.objective == trace.objective
             assert new.max_lyapunov_violation == violation
+
+
+@pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
+def test_solve_cell_runs_with_solver_params(solver):
+    # so the legacy-loop tests above run on the parameters every sweep uses
+    _, spec = make_problem()
+    cell = bench._solve_cell(spec, np.zeros(spec.map_A.dim_in), solver, 50)
+    rep = run_new(spec, solver, bench.solver_params(spec, solver, 50))
+    assert np.array_equal(cell.x, rep.x)
+    assert (cell.iterations, cell.objective) == (rep.iterations, rep.objective)
 
 
 @pytest.mark.parametrize("restart_period", [None, 7, 60])

@@ -8,10 +8,8 @@ from dcprox import cs
 from dcprox.linop import LinearMap
 from dcprox.problem import L1Screen, SolverParams, tau_upper_bound
 from dcprox.psg import lyapunov_c, momentum_table, solve, tail_linear_fit
-from test_entry_checks import rows_test
 from test_kernel import make_problem, run_new, sweep_params
 
-test_solve_rejects_infeasible_start = rows_test(solve, match="infeasible")
 GOLDEN = 0.5 * (1.0 + np.sqrt(5.0))
 
 
