@@ -48,9 +48,10 @@ hashes:
     least-squares cases 1/2/3/5/6 and Lorentzian cases 1/5, seeds 0-3, with
     each of the three solvers.
 It uses only bench.SweepConfig, bench.OPFConfig, bench.run_cs_sweep,
-bench.results_csv_text, bench.run_opf, bench._solve_cell, cs.make_instance,
-cs.build_cs_problem, opf.load_network, opf.build_dcopf and cli.main, so it
-runs unchanged on both sides of a change that keeps those.
+bench.results_csv_text, bench.run_opf, bench._solve_cell, bench.CSV_COLUMNS,
+bench.LOSS_DEFAULTS, bench.SOLVERS, cs.make_instance, cs.build_cs_problem,
+opf.load_network, opf.build_dcopf and cli.main, so it runs unchanged on both
+sides of a change that keeps those.
 """
 
 import argparse

@@ -10,17 +10,10 @@ import sys
 import numpy as np
 import pytest
 from equivalence import without_wall_time
-from test_entry_checks import affine_spec, rejection, rows_test
+from test_entry_checks import affine_spec, rejection
 
 from dcprox import bench, cli, cs, opf
 from dcprox.polyhedron import PolyhedronProjector, ProjectionError
-
-test_config_rejects_unknown_solver = rows_test(bench.SweepConfig, bench.OPFConfig,
-                                               match="solvers: ")
-test_config_rejects_unknown_loss_kind = rows_test(bench.SweepConfig, match="loss_kind")
-test_config_rejects_zero_seeds = rows_test(bench.SweepConfig, match="^n_seeds ")
-test_config_rejects_zero_opf_starts = rows_test(bench.OPFConfig, match="^opf_starts ")
-
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 

@@ -311,4 +311,4 @@ def test_rows_test_aliases_do_not_grow():
     # each alias reruns rows under an older test's name: lower the bound as they retire
     aliases = [name for p in sorted(pathlib.Path(__file__).parent.glob("*.py"))
                for name in re.findall(r"(?m)^(\w+) = rows_test\(", p.read_text())]
-    assert len(aliases) <= 11, aliases
+    assert len(aliases) <= 6, aliases

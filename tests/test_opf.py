@@ -6,7 +6,6 @@ import shutil
 
 import numpy as np
 import pytest
-from test_entry_checks import rows_test
 
 from dcprox import bench, opf
 from dcprox.polyhedron import (
@@ -16,8 +15,6 @@ from dcprox.polyhedron import (
 )
 from dcprox.problem import SolverParams, tau_upper_bound
 from dcprox.psg import solve
-
-test_build_rejects_bad_gamma = rows_test(opf.build_dcopf)
 
 
 @pytest.fixture(scope="module")

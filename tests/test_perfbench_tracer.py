@@ -1,8 +1,10 @@
-"""perfbench's tracer must not change what the set-up or a solve computes.
+"""perfbench must time what the sweep computes.
 
 `perfbench/layers.py` patches module functions of `dcprox.cs` while it
 traces a pass, and a traced pass must reproduce its untraced twin bit for
 bit.  This checks that contract on one small instance of each ensemble.
+`perfbench/workloads.py` restates the solver rules of `dcprox.bench`, and
+its solves must match the sweep's bit for bit.
 """
 
 import pathlib
@@ -10,7 +12,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from dcprox import cs, psg
+from dcprox import bench, cs, psg
 from dcprox.problem import SolverParams
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -21,6 +23,13 @@ def layers(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
     return layers
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    return workloads
 
 
 def build_and_solve(case):
@@ -71,3 +80,21 @@ def test_instrumented_solve_is_bit_identical(layers, case):
     assert calls["linop.apply"][0] == 1 + t_rep.iterations
     screened = spec.screen is not None
     assert (calls["linop.adjoint"][0] < t_rep.iterations) == screened
+
+
+def test_workload_rules_match_bench(workloads):
+    assert workloads.SOLVERS == bench.SOLVERS
+    assert workloads.LOSS_DEFAULTS == bench.LOSS_DEFAULTS
+
+
+#: case 2 takes the screened column path, case 5 the matrix-free DCT
+@pytest.mark.parametrize("case, loss_kind", [(2, "least-squares"), (5, "lorentzian")])
+def test_workload_solve_matches_bench(workloads, case, loss_kind):
+    inst = cs.make_instance(case, 0, bench.LOSS_DEFAULTS[loss_kind][0], loss_kind)
+    spec = cs.build_cs_problem(inst)
+    for solver in bench.SOLVERS:
+        rep = workloads.solve(spec, solver, 200)
+        ref = bench._solve_cell(spec, np.zeros(inst.d), solver, 200)
+        assert np.array_equal(rep.x, ref.x), solver
+        assert rep.iterations == ref.iterations, solver
+        assert rep.trace.objective == ref.trace.objective, solver
