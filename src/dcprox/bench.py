@@ -262,7 +262,7 @@ def run_opf(cfg):
         _, rate_r2, _ = psg.tail_linear_fit(steps)
         report = None
         if best_x is not None:
-            report = opf.postprocess_solution(best_x, net, lay)
+            report = opf.postprocess_solution(best_x, net, lay, best_objective)
             fh.write(report.to_json(indent=2))
     return OPFResult(report, best_x, stats, starts, rate_r2)
 

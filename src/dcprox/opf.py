@@ -316,9 +316,10 @@ class PlanReport:
         return "\n".join(lines)
 
 
-def postprocess_solution(x, net, layout):
+def postprocess_solution(x, net, layout, objective):
     """Round the indicators and report placement, dispatch, and costs.
 
+    objective is F(x), reported as given; the costs are the rounded plan's.
     Indicators within ROUND_TOL of {0, 1} are snapped; any other value marks
     the report as an unrounded relaxation.  The relative cost reduction is
     reported against BASELINE_COST.
@@ -334,10 +335,6 @@ def postprocess_solution(x, net, layout):
     install = net.pv_unit_cost * float(rounded.sum())
     total_units = install + gen_cost
     penetration = float(ppv.sum() / net.total_demand)
-    objective = (
-        install + gen_cost - penetration
-        - net.gamma * float(np.sum(xb * xb - xb))
-    )
     return PlanReport(
         placement=placement,
         fractional=fractional,

@@ -1,7 +1,8 @@
 """Equivalence fingerprint of the package's outputs, for A/B checks of a change.
 
-Not a pytest module: run it against each checkout and compare the outputs
-byte for byte,
+Not a pytest module: test_equivalence.py runs it in tier-1 and compares its
+output with the committed fingerprint.json (made at 2 OpenBLAS threads).
+By hand, run it against each checkout and compare the outputs byte for byte,
 
     PYTHONPATH=<parent>/src python tests/equivalence.py > parent.json
     PYTHONPATH=<change>/src python tests/equivalence.py > change.json

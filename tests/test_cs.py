@@ -5,16 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
-from test_entry_checks import rows_test
 
 from dcprox import cs
 from dcprox.linop import gram_spectrum
 from dcprox.problem import SolverParams, tau_upper_bound
 from dcprox.psg import solve
-
-test_gen_gaussian_errors = rows_test(cs.gen_gaussian)
-test_make_instance_rejects_unknown_matrix_kind = rows_test(cs.make_instance, match="matrix kind")
-test_make_instance_rejects_a_non_integer_case_id = rows_test(cs.make_instance, match="^case ")
 
 
 def test_case_table_shapes():

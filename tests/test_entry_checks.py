@@ -2,7 +2,7 @@
 base arguments of BASES, one replaced by a bad value, and expects the
 exception and the whole message.  counts and numbers give an argument the
 bad values of problem.check_count and problem.check_number, whose messages
-no other test file spells: those run rows through rows_test and rejection.
+no other test file spells: those expect a row's message through rejection.
 """
 
 import dataclasses
@@ -261,18 +261,6 @@ def raises(row):
     return pytest.raises(row.exc, match="^%s$" % re.escape(row.message))
 
 
-def rows_test(*entries, match=""):
-    """A test running the rows of entries whose message has a match of the
-    pattern match: the cases of an older test, kept under its name."""
-    rows = [r for r in ROWS if r.entry in entries and re.search(match, r.message)]
-    assert rows, ([show(e) for e in entries], match)
-
-    def test():
-        for row in rows:
-            test_entry_check(row)
-    return test
-
-
 def rejection(entry, arg, bad):
     """pytest.raises expecting the row of entry, arg and bad (by repr: 1 is not True)."""
     (row,) = [r for r in ROWS if (r.entry, r.arg, repr(r.bad)) == (entry, arg, repr(bad))]
@@ -308,7 +296,8 @@ def test_only_this_file_spells_the_rule_messages():
 
 
 def test_rows_test_aliases_do_not_grow():
-    # each alias reruns rows under an older test's name: lower the bound as they retire
+    # each row runs once, as test_entry_check[...]: no module binds a test to
+    # another callable, which would rerun rows under an older name
     aliases = [name for p in sorted(pathlib.Path(__file__).parent.glob("*.py"))
-               for name in re.findall(r"(?m)^(\w+) = rows_test\(", p.read_text())]
-    assert len(aliases) <= 6, aliases
+               for name in re.findall(r"(?m)^(test_\w+) = ", p.read_text())]
+    assert aliases == []

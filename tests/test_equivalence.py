@@ -1,12 +1,18 @@
 """The field rules of `tests/equivalence.py --compare`, on small synthetic
-fingerprints, so that the comparator is covered without computing one."""
+fingerprints, and the package's fingerprint against the committed one."""
 
 import copy
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import equivalence
+
+HERE = pathlib.Path(__file__).resolve().parent
 
 HEADER = ("case,solver,n_runs,n_errors,mean_iterations,mean_error,"
           "mean_objective,max_lyapunov_violation")
@@ -230,3 +236,17 @@ def test_run_compare_exits_1_on_a_miss(tmp_path, capsys):
         equivalence.run_compare(a, b)
     # sys.exit with a message prints it to stderr and exits with status 1
     assert err.value.code == "not equivalent: %s" % MISSES["one more iteration"][1]
+
+
+def test_fingerprint_matches_the_committed_one(tmp_path):
+    # fingerprint.json was made at 2 OpenBLAS threads, and the rules hold across
+    # thread counts; a change that moves a field beyond its rule re-records it
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+    fresh = tmp_path / "fingerprint.json"
+    with open(fresh, "w") as fh:
+        subprocess.run([sys.executable, str(HERE / "equivalence.py")],
+                       env=env, stdout=fh, check=True)
+    run = subprocess.run([sys.executable, str(HERE / "equivalence.py"), "--compare",
+                          str(HERE / "fingerprint.json"), str(fresh)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

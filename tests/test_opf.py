@@ -238,17 +238,17 @@ def test_solver_reaches_good_binary_plan(built, net):
     assert opf.binary_relaxation_gap(rep.x, lay) <= 1e-6
     f0 = spec.objective(x0)
     assert rep.max_lyapunov_violation <= 1e-6 * (1 + abs(f0))
-    report = opf.postprocess_solution(rep.x, net, lay)
+    report = opf.postprocess_solution(rep.x, net, lay, spec.objective(rep.x))
     assert not report.fractional
     assert len(report.placement) == 2
     assert report.penetration >= 0.5 - 1e-9
     assert report.cost_reduction > 0.5
 
 
-def test_postprocess_empty_and_fractional(net):
-    lay = opf.DCOPFLayout()
+def test_postprocess_empty_and_fractional(built, net):
+    spec, _, lay = built
     x = np.zeros(lay.dim)
-    report = opf.postprocess_solution(x, net, lay)
+    report = opf.postprocess_solution(x, net, lay, spec.objective(x))
     assert report.placement == ()
     assert not report.fractional
     assert report.objective == pytest.approx(0.433)
@@ -256,16 +256,17 @@ def test_postprocess_empty_and_fractional(net):
     assert report.cost_reduction == pytest.approx(
         1 - 0.433 / opf.BASELINE_COST)
     x[lay.x_bin.start] = 0.4
-    report = opf.postprocess_solution(x, net, lay)
+    report = opf.postprocess_solution(x, net, lay, spec.objective(x))
     assert report.fractional
     assert "unrounded relaxation" in report.flags
     assert report.table().splitlines()[-1] == (
         "flags             : unrounded relaxation")
 
 
-def test_plan_report_serialization(net):
-    lay = opf.DCOPFLayout()
-    report = opf.postprocess_solution(np.zeros(lay.dim), net, lay)
+def test_plan_report_serialization(built, net):
+    spec, _, lay = built
+    x = np.zeros(lay.dim)
+    report = opf.postprocess_solution(x, net, lay, spec.objective(x))
     data = json.loads(report.to_json())
     assert data["placement"] == []
     assert data["total_cost_dollars"] == pytest.approx(0.433 * 1_040_000)
@@ -284,6 +285,13 @@ def test_multi_start_monotonicity(opf_run):
     assert all(b <= a + 1e-15 for a, b in zip(objs, best_so_far))
     stats = opf_run.stats["proposed"]
     assert stats["best_objective"] <= stats["mean_objective"]
+
+
+def test_plan_objective_is_the_runs_best(built, opf_run):
+    # the plan reports F(best_x) itself, not a second formula of it
+    objective = opf_run.best_report.objective
+    assert objective == built[0].objective(opf_run.best_x)
+    assert objective == opf_run.stats["proposed"]["best_objective"]
 
 
 def fix_indicators(set_, lay, buses):

@@ -2,14 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from test_entry_checks import CHECK_POSITIVE, rows_test, spec_kwargs
+from test_entry_checks import spec_kwargs
 
 from dcprox.baselines import BaselineParams
-from dcprox.problem import ProblemSpec, SolverParams, check_number, tau_upper_bound
-
-test_tau_upper_bound_degenerate_raises = rows_test(tau_upper_bound)
-test_solver_params_validation = rows_test(SolverParams, match="^(lambda_bar|mu_bar|delta) ")
-test_check_number = rows_test(check_number, CHECK_POSITIVE)
+from dcprox.problem import ProblemSpec, SolverParams, tau_upper_bound
 
 
 def test_tau_upper_bound_reference_value():
