@@ -4,7 +4,7 @@ from test_kernel import make_problem
 
 from dcprox import cs
 from dcprox.baselines import BaselineParams, gppa_solve, pdcae_solve
-from dcprox.problem import SolverParams, tau_upper_bound
+from dcprox.problem import SolverParams
 from dcprox.psg import solve as psg_solve
 
 
@@ -49,20 +49,6 @@ def test_pdcae_without_momentum_equals_gppa():
     a = pdcae_solve(spec, np.zeros(inst.d), params)
     b = gppa_solve(spec, np.zeros(inst.d), params)
     assert np.array_equal(a.x, b.x)
-
-
-def test_zero_momentum_psg_equals_gppa_trajectory():
-    inst, spec = make_problem(seed=9)
-    flat = SolverParams(lambda_bar=0.0, mu_bar=0.0, max_iter=100,
-                        stop_rel_tol=0.0, keep_iterates=True)
-    tau = tau_upper_bound(spec, flat)
-    a = psg_solve(spec, np.zeros(inst.d), flat)
-    b = gppa_solve(spec, np.zeros(inst.d),
-                   BaselineParams(step_tau=tau, max_iter=100, stop_rel_tol=0.0,
-                                  keep_iterates=True))
-    diffs = [np.max(np.abs(xa - xb))
-             for xa, xb in zip(a.trace.iterates, b.trace.iterates)]
-    assert max(diffs) <= 1e-12
 
 
 @pytest.mark.parametrize("keep, kept", [(None, False), (True, True), (False, False)])

@@ -137,16 +137,6 @@ def counting(map_):
                       map_.dim_out), counts)
 
 
-@pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
-def test_one_apply_and_one_adjoint_per_iteration(solver):
-    _, spec = make_problem(3)
-    map_A, counts = counting(spec.map_A)
-    spec = dataclasses.replace(spec, map_A=map_A)
-    rep = run_new(spec, solver, sweep_params(spec, solver, 50, stop_rel_tol=0.0))
-    assert rep.iterations == 50
-    assert counts == {"apply": 1 + 50, "adjoint": 50}
-
-
 @pytest.mark.parametrize("case", [7, 8])
 def test_large_dct_cases_smoke(case):
     gamma, _ = bench.LOSS_DEFAULTS["least-squares"]
@@ -163,6 +153,20 @@ def test_large_dct_cases_smoke(case):
         assert counts == {"apply": 1 + 30, "adjoint": 30}
 
 
+def assert_solves_alike(spec, other, max_iter):
+    """Each solver, run on spec and on other with spec's sweep parameters,
+    ends with the same status and iteration count and an objective within
+    1e-12 relative.  Returns {solver: (report on spec, report on other)}."""
+    reports = {}
+    for solver in ("proposed", "gppa", "pdcae"):
+        params = sweep_params(spec, solver, max_iter, keep_iterates=False)
+        got, want = run_new(spec, solver, params), run_new(other, solver, params)
+        assert (got.status, got.iterations) == (want.status, want.iterations), solver
+        assert abs(got.objective - want.objective) <= 1e-12 * abs(want.objective), solver
+        reports[solver] = got, want
+    return reports
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("loss", ["least-squares", "lorentzian"])
 @pytest.mark.parametrize("case", [5, 6])
@@ -171,11 +175,7 @@ def test_dct_map_solves_like_its_matrix(case, loss, seed):
     spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, loss))
     dense = dataclasses.replace(
         spec, map_A=LinearMap.from_matrix(spec.map_A.dense()))
-    for solver in ("proposed", "gppa", "pdcae"):
-        params = sweep_params(spec, solver, max_iter, keep_iterates=False)
-        fft, mat = run_new(spec, solver, params), run_new(dense, solver, params)
-        assert (fft.status, fft.iterations) == (mat.status, mat.iterations)
-        assert abs(fft.objective - mat.objective) <= 1e-12 * abs(mat.objective)
+    assert_solves_alike(spec, dense, max_iter)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -186,11 +186,7 @@ def test_support_products_solve_like_full_products(case, seed):
     A = spec.map_A.dense()
     full = dataclasses.replace(spec, map_A=LinearMap(
         lambda x: A @ x, lambda y: A.T @ y, A.shape[1], A.shape[0]))
-    for solver in ("proposed", "gppa", "pdcae"):
-        params = sweep_params(spec, solver, max_iter, keep_iterates=False)
-        sup, mat = run_new(spec, solver, params), run_new(full, solver, params)
-        assert (sup.status, sup.iterations) == (mat.status, mat.iterations)
-        assert abs(sup.objective - mat.objective) <= 1e-12 * abs(mat.objective)
+    assert_solves_alike(spec, full, max_iter)
 
 
 def oracle_failing_at(spec, name, k, bad):
@@ -368,11 +364,7 @@ def test_screened_solves_match_unscreened(case, seed):
     spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, "least-squares"))
     assert spec.screen is not None
     full = dataclasses.replace(spec, screen=None)
-    for solver in ("proposed", "gppa", "pdcae"):
-        params = sweep_params(spec, solver, max_iter, keep_iterates=False)
-        scr, ref = run_new(spec, solver, params), run_new(full, solver, params)
-        assert (scr.status, scr.iterations) == (ref.status, ref.iterations), solver
-        assert abs(scr.objective - ref.objective) <= 1e-12 * abs(ref.objective)
+    for solver, (scr, ref) in assert_solves_alike(spec, full, max_iter).items():
         assert np.array_equal(scr.x != 0, ref.x != 0), solver
 
 

@@ -73,29 +73,6 @@ def test_affine_projection_exact():
     assert np.allclose(PolyhedronProjector(set_).project(w), want, atol=1e-12)
 
 
-def test_matches_combinatorial_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(40):
-        set_ = random_polytope(rng)
-        w = rng.standard_normal(set_.dim) * 2.0
-        got = PolyhedronProjector(set_, tol=1e-8).project(w)
-        want = combinatorial_projection(set_, w)
-        assert want is not None
-        assert np.linalg.norm(got - want) <= 1e-6
-
-
-def test_idempotent_and_nonexpansive():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        set_ = random_polytope(rng)
-        proj = PolyhedronProjector(set_, tol=1e-8)
-        w = rng.standard_normal(set_.dim) * 3.0
-        v = rng.standard_normal(set_.dim) * 3.0
-        pw, pv = proj.project(w), proj.project(v)
-        assert np.linalg.norm(proj.project(pw) - pw) <= 1e-7
-        assert np.linalg.norm(pw - pv) <= np.linalg.norm(w - v) + 1e-7
-
-
 def test_projection_with_equalities_certifies():
     rng = np.random.default_rng(2)
     E = rng.standard_normal((3, 7))
