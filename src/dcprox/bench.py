@@ -301,7 +301,7 @@ def _check_solver_suite(rng):
 
 def _check_oracles(rng):
     w = rng.standard_normal(50)
-    st = cs.soft_threshold(w, 0.3)
+    st = oracles.soft_threshold(w, 0.3)
     grid = np.linspace(-5, 5, 200001)
     k = int(rng.integers(50))
     brute = grid[np.argmin(0.3 * np.abs(grid) + 0.5 * (grid - w[k]) ** 2)]

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import math
 import pathlib
 from dataclasses import dataclass
 
@@ -11,8 +10,8 @@ import numpy as np
 from .linop import LinearMap, gram_spectrum
 # unused here: kept only because perfbench's tracer patches cs.spectral_norm
 from .linop import spectral_norm  # noqa: F401
-from .oracles import Loss, norm_subgradient, soft_threshold
-from .problem import L1Screen, ProblemSpec, check_count, check_number
+from .oracles import L1L2, Loss
+from .problem import ProblemSpec, check_count, check_number
 
 #: case id -> (matrix kind, m, d, s)
 CASES = {
@@ -212,29 +211,20 @@ def make_instance(case, seed, gamma, loss_kind):
 def build_cs_problem(inst):
     """ProblemSpec with f = gamma ||.||_1, h = loss, g = gamma ||.||.
 
-    norm_A is the instance's bound; no norm is estimated here.  Matrix-backed
-    maps of at least SCREEN_MIN_ENTRIES entries carry an L1Screen, so the
-    kernel computes only the A* entries the prox does not provably zero.
+    Its oracles and map_A are the fields() of its oracles.L1L2 record.
+    norm_A is the instance's bound; no norm is estimated here.  The record
+    of a matrix-backed map of at least SCREEN_MIN_ENTRIES entries carries
+    the matrix, so the kernel computes only the A* entries the prox does
+    not provably zero.
     """
-    gamma = inst.gamma
-    check_number("gamma", gamma, positive=True)
+    check_number("gamma", inst.gamma, positive=True)
     loss = Loss(inst.loss_kind, inst.b)
     matrix = inst.A.matrix
-    screen = None
-    if matrix is not None and matrix.size >= SCREEN_MIN_ENTRIES:
-        screen = L1Screen(gamma, matrix)
-    return ProblemSpec(
-        prox_fC=lambda w, tau: soft_threshold(w, gamma * tau),
-        grad_h=loss.grad,
-        subgrad_g=lambda x: gamma * norm_subgradient(x),
-        value_f=lambda x: gamma * float(np.abs(x).sum()),
-        value_h=loss.value,
-        value_g=lambda x: gamma * math.sqrt(x @ x),
-        map_A=inst.A,
-        lipschitz_ell=loss.lipschitz,
-        norm_A=inst.norm_A,
-        screen=screen,
-    )
+    if matrix is not None and matrix.size < SCREEN_MIN_ENTRIES:
+        matrix = None
+    rec = L1L2(inst.gamma, loss, inst.A, matrix)
+    return ProblemSpec(**rec.fields(), lipschitz_ell=loss.lipschitz,
+                       norm_A=inst.norm_A, l1l2=rec)
 
 
 def save_instance(inst, out_dir):

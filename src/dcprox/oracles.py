@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -63,3 +64,40 @@ class Loss:
         if self.kind == "least-squares":
             return r
         return 2.0 * r / (1.0 + r * r)
+
+
+@dataclass(frozen=True, eq=False)
+class L1L2:
+    """f = gamma ||.||_1, g = gamma ||.|| and h = loss on the map map_A.
+
+    psg.iterate fuses the oracles of a ProblemSpec that holds all fields().
+    matrix, when set, is map_A's column-major array, whose columns screen
+    the A* product: prox_fC(w, tau) zeroes every |w_i| <= gamma * tau.
+    """
+
+    gamma: float
+    loss: Loss
+    map_A: "LinearMap"  # dcprox.linop.LinearMap
+    matrix: Optional[np.ndarray] = None
+
+    def prox_fC(self, w, tau):
+        return soft_threshold(w, self.gamma * tau)
+
+    def subgrad_g(self, x):
+        return self.gamma * norm_subgradient(x)
+
+    def value_f(self, x):
+        return self.gamma * float(np.abs(x).sum())
+
+    def value_g(self, x):
+        return self.gamma * math.sqrt(x @ x)
+
+    def adjoint_columns(self, y, cols):
+        """(A^T y)[cols], reading only those columns of the matrix."""
+        return self.matrix[:, cols].T @ y
+
+    def fields(self):
+        """The ProblemSpec fields this record makes."""
+        return dict(prox_fC=self.prox_fC, grad_h=self.loss.grad, subgrad_g=self.subgrad_g,
+                    value_f=self.value_f, value_h=self.loss.value, value_g=self.value_g,
+                    map_A=self.map_A)

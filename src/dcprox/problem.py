@@ -9,24 +9,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class L1Screen:
-    """What the kernel needs to screen the A* product of an l1 problem.
-
-    gamma is the weight of f = gamma ||.||_1, whose prox_fC(w, tau) zeroes
-    every coordinate with |w_i| <= gamma * tau (that product as rounded),
-    and matrix the column-major array of map_A, whose columns psg.iterate
-    multiplies on their own.
-    """
-
-    gamma: float
-    matrix: np.ndarray
-
-    def adjoint_columns(self, y, cols):
-        """(A^T y)[cols], reading only those columns of the matrix."""
-        return self.matrix[:, cols].T @ y
-
-
-@dataclass(frozen=True)
 class ProblemSpec:
     """The quadruple (f + indicator-of-C, h, g, A) plus its constants.
 
@@ -39,8 +21,9 @@ class ProblemSpec:
     orthonormal rows (sampled DCT, row-orthonormal Gaussian), and for other
     matrices sqrt(lambda_max + margin) from one eigendecomposition of
     A A^T (linop.gram_spectrum), a certified bound about 1e-10 relative
-    above ||A|| on case 3.  screen, when set, lets the kernel compute only
-    the entries of A* grad_h that the prox does not provably zero.
+    above ||A|| on case 3.  l1l2, when set, is the oracles.L1L2 record of
+    an L1-L2 problem, whose oracles psg.iterate fuses and whose matrix lets
+    it skip the entries of A* grad_h that the prox provably zeroes.
     """
 
     prox_fC: Callable[[np.ndarray, float], np.ndarray]
@@ -54,7 +37,7 @@ class ProblemSpec:
     norm_A: float
     weak_convexity_beta: float = 0.0
     is_feasible: Optional[Callable[[np.ndarray], bool]] = None
-    screen: Optional[L1Screen] = None
+    l1l2: Optional["L1L2"] = None  # dcprox.oracles.L1L2
 
     def __post_init__(self):
         for name in ("lipschitz_ell", "weak_convexity_beta", "norm_A"):
@@ -62,9 +45,10 @@ class ProblemSpec:
         # norm_A**2 raises OverflowError where this product gives inf (from 2**512 on)
         check_number("norm_A * norm_A", self.norm_A * self.norm_A)
         shape = (self.map_A.dim_out, self.map_A.dim_in)
-        if self.screen is not None and self.screen.matrix.shape != shape:
+        matrix = None if self.l1l2 is None else self.l1l2.matrix
+        if matrix is not None and matrix.shape != shape:
             raise ValueError("screen matrix shape %s does not match map_A %s"
-                             % (self.screen.matrix.shape, shape))
+                             % (matrix.shape, shape))
 
     def objective(self, x, Ax=None):
         """F(x) = f(x) + h(A x) - g(x); Ax, when given, must be A x."""

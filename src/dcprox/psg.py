@@ -88,6 +88,24 @@ def screen_columns(ref, screen, norm_A, tau, psi, v, g_n):
     return w, cols
 
 
+def prox_input(spec, screen, ref, tau, psi, v, g_n, x, w, tmp):
+    """(w, ref): the prox input w = v - tau A* psi + tau g_n, from
+    screen_columns while it can screen (a screen, a reference and a sparse
+    x); else from the full product, in the buffer w, which with a screen
+    becomes the reference."""
+    if screen is not None and ref is not None and SPARSE_CUT * np.count_nonzero(x) <= len(x):
+        ws, cols = screen_columns(ref, screen, spec.norm_A, tau, psi, v, g_n)
+        if cols is not None:
+            ws[cols] = v[cols] - tau * screen.adjoint_columns(psi, cols) + tau * g_n[cols]
+            return ws, ref
+    grad = spec.map_A.adjoint(psi)
+    np.subtract(v, np.multiply(grad, tau, out=w), out=w)
+    w += np.multiply(g_n, tau, out=tmp)
+    if screen is not None:
+        ref = (psi.copy(), grad, math.sqrt(psi @ psi))
+    return w, ref
+
+
 def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
     """The iteration loop of the proposed solver, GPPA and pDCAe.
 
@@ -104,10 +122,12 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
     is re-raised, chained, as RuntimeError("<oracle> failed at iteration n"),
     naming subgrad_g, grad_h, the A* product (full or on columns) or prox_fC.
 
-    With spec.screen set, the full A* product is kept as a reference, and
-    while x_n is sparse (linop.SPARSE_CUT) screen_columns may replace the next
-    one by a product on the columns the prox does not provably zero; each
-    iteration makes one full or one column-subset A* product either way.
+    A spec whose oracles and map_A are the fields() of its l1l2 record runs
+    _l1l2_loop, any other _loop; they compute the same numbers bit for bit.
+    With spec.l1l2.matrix set, the full A* product is kept as a reference,
+    and while x_n is sparse (linop.SPARSE_CUT) prox_input may replace the
+    next one by a product on the columns the prox does not provably zero;
+    each iteration makes one full or one column-subset A* product either way.
     """
     x = np.array(x0, dtype=float)
     d = spec.map_A.dim_in
@@ -118,14 +138,39 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
 
     Ax = spec.map_A.apply(x)
     f0 = float(spec.objective(x, Ax))
-    objective, step_norms = [f0], [0.0]
-    iterates = [x.copy()] if params.keep_iterates else None
-
-    period = len(lams)
-    screen, ref = spec.screen, None
-    x_prev, Ax_prev = x, Ax
-    status = "max-iter"
+    trace = IterateTrace([f0], [0.0], None, [x.copy()] if params.keep_iterates else None)
+    rec = spec.l1l2
+    fused = rec is not None and all(
+        getattr(spec, name) == made for name, made in rec.fields().items())
+    loop = _l1l2_loop if fused else _loop
     t0 = time.perf_counter()
+    x, status = loop(spec, x, Ax, trace, params, tau, lams, mus)
+    wall_time = time.perf_counter() - t0
+
+    objective, step_norms = trace.objective, trace.step_norms
+    trace.lyapunov = [f0] + [f + c * s * s for f, s in zip(objective[1:], step_norms[1:])]
+    L, S = np.array(trace.lyapunov), np.array(step_norms)
+    with np.errstate(invalid="ignore", over="ignore"):  # silent, like Python floats
+        violation = L[1:] + delta * S[1:] * S[1:] - L[:-1]
+    return SolveReport(
+        x=x,
+        objective=objective[-1],
+        iterations=len(step_norms) - 1,
+        status=status,
+        trace=trace,
+        max_lyapunov_violation=float(np.max(violation, initial=0.0)),
+        wall_time=wall_time,
+    )
+
+
+def _loop(spec, x, Ax, trace, params, tau, lams, mus):
+    """iterate's loop on any spec, calling each oracle once per iteration;
+    it appends to trace and returns the last x and the status."""
+    objective, step_norms, iterates = trace.objective, trace.step_norms, trace.iterates
+    period = len(lams)
+    screen = spec.l1l2 if spec.l1l2 is not None and spec.l1l2.matrix is not None else None
+    ref = None
+    x_prev, Ax_prev = x, Ax
     for n in range(params.max_iter):
         k = n % period
         lam, mu = lams[k], mus[k]
@@ -137,17 +182,8 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
             psi = spec.grad_h(Au)
             oracle = "A* product"
             v = x if mu == 0.0 else x + mu * (x - x_prev)
-            cols = None
-            if ref is not None and SPARSE_CUT * np.count_nonzero(x) <= d:
-                w, cols = screen_columns(ref, screen, spec.norm_A, tau, psi, v, g_n)
-            if cols is None:
-                grad = spec.map_A.adjoint(psi)
-                w = v - tau * grad + tau * g_n
-                if screen is not None:
-                    ref = (psi, grad, math.sqrt(psi @ psi))
-            else:
-                w[cols] = (v[cols] - tau * screen.adjoint_columns(psi, cols)
-                           + tau * g_n[cols])
+            w, ref = prox_input(spec, screen, ref, tau, psi, v, g_n, x,
+                                np.empty_like(x), np.empty_like(x))
             oracle = "prox_fC"
             x_next = spec.prox_fC(w, tau)
         except Exception as exc:
@@ -169,23 +205,93 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
         x_prev, x = x, x_next
         Ax_prev, Ax = Ax, Ax_next
         if n >= 1 and rel < params.stop_rel_tol:
-            status = "converged"
-            break
+            return x, "converged"
+    return x, "max-iter"
 
-    wall_time = time.perf_counter() - t0
-    lyapunov = [f0] + [f + c * s * s for f, s in zip(objective[1:], step_norms[1:])]
-    L, S = np.array(lyapunov), np.array(step_norms)
-    with np.errstate(invalid="ignore", over="ignore"):  # silent, like Python floats
-        violation = L[1:] + delta * S[1:] * S[1:] - L[:-1]
-    return SolveReport(
-        x=x,
-        objective=objective[-1],
-        iterations=len(step_norms) - 1,
-        status=status,
-        trace=IterateTrace(objective, step_norms, lyapunov, iterates),
-        max_lyapunov_violation=float(np.max(violation, initial=0.0)),
-        wall_time=wall_time,
-    )
+
+#: iterations whose objective terms _l1l2_loop sums in one numpy call each
+BLOCK = 64
+
+
+def _l1l2_loop(spec, x, Ax, trace, params, tau, lams, mus):
+    """_loop's numbers, bit for bit, on an L1-L2 spec, from fewer operations:
+    ||x_{n+1}|| once, for F(x_{n+1}), the next subgradient and stop test;
+    r = A x_{n+1} - b and r^2 once, for F and, at lam = 0, the next psi;
+    F's |x_{n+1}| from the prox.  Vectors go to buffers made before the
+    loop (x_{n-1}, x_n, x_{n+1} rotate through three); F's sums run once
+    per BLOCK iterations."""
+    rec = spec.l1l2
+    gamma, b, lorentzian = rec.gamma, rec.loss.b, rec.loss.kind == "lorentzian"
+    screen = rec if rec.matrix is not None else None
+    d, period, t = len(x), len(lams), gamma * tau
+    objective, step_norms, iterates = trace.objective, trace.step_norms, trace.iterates
+    g, v, w, dx, spare = (np.empty(d) for _ in range(5))
+    r, u, rr = np.subtract(Ax, b), np.empty(len(b)), np.empty(len(b))
+    r2 = np.multiply(r, r)  # r^2 of the last F, a row of r2_block after it
+    # row n % BLOCK: |x_{n+1}|, r^2 (Lorentzian), h (least squares), ||x_{n+1}||
+    abs_block, r2_block = np.empty((BLOCK, d)), np.empty((BLOCK, len(b)))
+    h, norms = np.empty(BLOCK), np.empty(BLOCK)
+    x_prev, Ax_prev, nx, ref = x.copy(), Ax, math.sqrt(x @ x), None
+    for n in range(params.max_iter):
+        lam, mu, i = lams[n % period], mus[n % period], n % BLOCK
+        if nx == 0.0:
+            g.fill(0.0)
+        else:
+            np.multiply(np.divide(x, nx, out=g), gamma, out=g)
+        res, sq = r, r2  # at lam = 0, A u = A x: the residual of F(x_n)
+        if lam != 0.0:
+            res = np.subtract(Ax, Ax_prev, out=u)
+            res *= lam
+            res += Ax
+            res -= b
+            sq = np.multiply(res, res, out=rr) if lorentzian else None
+        psi = res
+        if lorentzian:  # 2 r / (1 + r^2)
+            psi = np.divide(np.multiply(res, 2.0, out=u), np.add(sq, 1.0, out=rr), out=u)
+        vn = x
+        if mu != 0.0:
+            vn = np.subtract(x, x_prev, out=v)
+            vn *= mu
+            vn += x
+        try:
+            wn, ref = prox_input(spec, screen, ref, tau, psi, vn, g, x, w, dx)
+        except Exception as exc:
+            raise RuntimeError("A* product failed at iteration %d" % n) from exc
+        a = abs_block[i]
+        np.abs(wn, out=a)
+        a -= t
+        np.maximum(a, 0.0, out=a)
+        x_next = np.copysign(a, wn, out=spare)
+        np.subtract(x_next, x, out=dx)
+        step = math.sqrt(dx @ dx)
+        if not math.isfinite(step) and not np.isfinite(x_next).all():
+            raise FloatingPointError("non-finite iterate at iteration %d" % n)
+        Ax_next = rec.map_A.apply(x_next)
+        np.subtract(Ax_next, b, out=r)
+        if lorentzian:
+            r2 = np.multiply(r, r, out=r2_block[i])
+        else:
+            h[i] = 0.5 * float(r @ r)
+        nx_next = norms[i] = math.sqrt(x_next @ x_next)
+        step_norms.append(step)
+        if iterates is not None:
+            iterates.append(x_next.copy())
+
+        rel = step / nx if nx > 0 else step
+        x_prev, x, spare = x, x_next, x_prev
+        Ax_prev, Ax, nx = Ax, Ax_next, nx_next
+        stop = n >= 1 and rel < params.stop_rel_tol
+        if stop or i == BLOCK - 1 or n + 1 == params.max_iter:
+            # each row sums in the order of value_f's np.abs(x).sum() and
+            # value_h's np.log1p(r * r).sum(), so each F is bit for bit _loop's
+            f = gamma * abs_block[:i + 1].sum(axis=1)
+            if lorentzian:
+                h[:i + 1] = np.log1p(r2_block[:i + 1]).sum(axis=1)
+            with np.errstate(invalid="ignore", over="ignore"):  # as Python floats
+                objective += ((f + h[:i + 1]) - gamma * norms[:i + 1]).tolist()
+            if stop:
+                return x, "converged"
+    return x, "max-iter"
 
 
 def solve(spec, x0, params):
@@ -194,9 +300,11 @@ def solve(spec, x0, params):
     Stops when the relative step ||x_{n+1} - x_n|| / ||x_n|| drops below
     params.stop_rel_tol (tested from the second update on; absolute step
     norm is used whenever ||x_n|| = 0) or after params.max_iter updates.
-    Each iteration costs one A product, one A* product, one prox_fC and
-    one subgrad_g call; F(x0) costs one more A product.  The momenta are
-    lambda_bar r_n and mu_bar tau_bar r_n, r_n the ratios of momentum_table.
+    Each iteration costs one A product and one A* product; F(x0) costs
+    one more A product.  On a spec of cs.build_cs_problem the rest of the
+    step is iterate's fused L1-L2 loop, on any other spec one prox_fC and
+    one subgrad_g call and F's oracles.  The momenta are lambda_bar r_n
+    and mu_bar tau_bar r_n, r_n the ratios of momentum_table.
     """
     tau_bar = tau_upper_bound(spec, params)
     ratios = momentum_table(params.restart_period, params.max_iter)

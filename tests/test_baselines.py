@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from test_kernel import make_problem
 
-from dcprox import cs
+from dcprox import oracles
 from dcprox.baselines import BaselineParams, gppa_solve, pdcae_solve
 from dcprox.problem import SolverParams
 from dcprox.psg import solve as psg_solve
@@ -18,7 +18,7 @@ def test_gppa_single_step_formula():
     A = inst.A.dense()
     grad = A.T @ spec.grad_h(A @ x0)
     g = spec.subgrad_g(x0)
-    want = cs.soft_threshold(x0 - tau * grad + tau * g, inst.gamma * tau)
+    want = oracles.soft_threshold(x0 - tau * grad + tau * g, inst.gamma * tau)
     assert np.allclose(rep.x, want, atol=1e-14)
 
 

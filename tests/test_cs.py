@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from dcprox import cs
+from dcprox import cs, oracles
 from dcprox.linop import gram_spectrum
 from dcprox.problem import SolverParams, tau_upper_bound
 from dcprox.psg import solve
@@ -148,7 +148,7 @@ def test_build_cs_problem_prox_uses_scaled_threshold():
     spec = cs.build_cs_problem(inst)
     w = np.linspace(-1, 1, inst.d)
     assert np.allclose(spec.prox_fC(w, 2.0),
-                       cs.soft_threshold(w, 0.2), atol=1e-15)
+                       oracles.soft_threshold(w, 0.2), atol=1e-15)
 
 
 def test_build_cs_problem_regularizer_value_and_gamma():
@@ -166,11 +166,14 @@ def test_build_cs_problem_regularizer_value_and_gamma():
 def test_build_cs_problem_screens_large_matrix_maps_only(case, screened):
     inst = cs.make_instance(case, 0, 0.1, "least-squares")
     spec = cs.build_cs_problem(inst)
-    assert (spec.screen is not None) == screened
+    rec = spec.l1l2
+    assert rec.gamma == inst.gamma
+    assert rec.map_A is inst.A
+    assert all(getattr(spec, name) == made for name, made in rec.fields().items())
+    assert (rec.matrix is not None) == screened
     if screened:
-        assert spec.screen.gamma == inst.gamma
-        assert spec.screen.matrix is inst.A.matrix
-        assert spec.screen.matrix.flags.f_contiguous
+        assert rec.matrix is inst.A.matrix
+        assert rec.matrix.flags.f_contiguous
 
 
 def test_case2_seed419_builds_with_certified_norm():

@@ -20,11 +20,11 @@ import dcprox
 from dcprox import bench, cs, opf
 from dcprox.baselines import BaselineParams, gppa_solve, pdcae_solve
 from dcprox.linop import LinearMap, spectral_norm
-from dcprox.oracles import Loss, norm_subgradient, soft_threshold
+from dcprox.oracles import L1L2, Loss, norm_subgradient, soft_threshold
 from dcprox.polyhedron import (
     InfeasiblePolyhedronError, PolyhedralSet, PolyhedronProjector, ProjectionError)
 from dcprox.problem import (
-    IterateTrace, L1Screen, ProblemSpec, SolveReport, SolverParams, check_number,
+    IterateTrace, ProblemSpec, SolveReport, SolverParams, check_number,
     tau_upper_bound)
 from dcprox.psg import lyapunov_c, solve, tail_linear_fit
 
@@ -65,6 +65,11 @@ def spec_kwargs(**kw):
             "subgrad_g": np.zeros_like, "value_f": lambda x: 0.0,
             "value_h": lambda z: 0.5 * float(z @ z), "value_g": lambda x: 0.0,
             "map_A": LinearMap.identity(3), "lipschitz_ell": 1.0, "norm_A": 1.0, **kw}
+
+
+def l1l2_record(matrix):
+    """An L1-L2 record on the map of spec_kwargs, screened with matrix."""
+    return L1L2(0.1, Loss("least-squares", np.zeros(3)), LinearMap.identity(3), matrix)
 
 
 def affine_spec():
@@ -148,7 +153,7 @@ ROWS = [
     # norm_A**2 overflows from 2**512 on
     *[Row(ProblemSpec, "norm_A", v, number_error("norm_A * norm_A", INF))
       for v in (1e200, 2.0**512)],
-    Row(ProblemSpec, "screen", functools.partial(L1Screen, 0.1, np.eye(3, 4, order="F")),
+    Row(ProblemSpec, "l1l2", functools.partial(l1l2_record, np.eye(3, 4, order="F")),
         "screen matrix shape (3, 4) does not match map_A (3, 3)"),
     # no SolverParams gives a zero denominator, so a namespace stands in
     Row(tau_upper_bound, "params", SimpleNamespace(delta=0.0, lambda_bar=0.0, mu_bar=0.0),
@@ -226,7 +231,7 @@ ACCEPTED = [
     (CHECK_POSITIVE, "value", 1e-300),
     *[(cls, arg, v) for cls in (SolverParams, BaselineParams) for arg, v in (
         ("restart_period", None), ("max_iter", np.int64(10)), ("restart_period", np.int32(7)))],
-    (ProblemSpec, "screen", functools.partial(L1Screen, 0.1, np.eye(3, order="F"))),
+    (ProblemSpec, "l1l2", functools.partial(l1l2_record, np.eye(3, order="F"))),
     (cs.make_instance, "seed", np.int64(3)),
 ]
 

@@ -10,7 +10,8 @@ import legacy_solvers
 from dcprox import bench, cs, psg
 from dcprox.baselines import gppa_solve, pdcae_solve
 from dcprox.linop import LinearMap, gram_spectrum
-from dcprox.problem import L1Screen, tau_upper_bound
+from dcprox.oracles import L1L2, Loss
+from dcprox.problem import tau_upper_bound
 from dcprox.psg import solve
 
 
@@ -120,6 +121,85 @@ def test_momentum_table_matches_per_iteration_schedule(solver, restart_period):
     assert_iterates_match(new, trace, solver)
 
 
+def pass_through(spec, name="value_f"):
+    """spec with its oracle name wrapped, which makes psg.iterate run its
+    generic loop, and the list that gets one entry per call of the wrapper."""
+    calls, fn = [], getattr(spec, name)
+
+    def oracle(*args):
+        calls.append(None)
+        return fn(*args)
+
+    return dataclasses.replace(spec, **{name: oracle}), calls
+
+
+def fused_runs(monkeypatch):
+    """The list of specs that psg._l1l2_loop runs on from now on."""
+    runs, loop = [], psg._l1l2_loop
+
+    def spy(spec, *args):
+        runs.append(spec)
+        return loop(spec, *args)
+
+    monkeypatch.setattr(psg, "_l1l2_loop", spy)
+    return runs
+
+
+def assert_same_run(got, want):
+    """Two reports agree bit for bit, kept iterates included."""
+    assert got.x.tobytes() == want.x.tobytes()
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    for field in ("objective", "step_norms", "lyapunov"):
+        assert getattr(got.trace, field) == getattr(want.trace, field), field
+    assert got.max_lyapunov_violation == want.max_lyapunov_violation
+    assert len(got.trace.iterates) == len(want.trace.iterates)
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(got.trace.iterates, want.trace.iterates))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("loss, case", [
+    ("least-squares", 1), ("least-squares", 2), ("least-squares", 5),
+    ("lorentzian", 1), ("lorentzian", 5)])
+def test_fused_loop_equals_generic_loop(loss, case, seed, monkeypatch):
+    # case 2 is above cs.SCREEN_MIN_ENTRIES, so both loops screen
+    gamma, max_iter = bench.LOSS_DEFAULTS[loss]
+    spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, loss))
+    generic, _ = pass_through(spec)
+    runs = fused_runs(monkeypatch)
+    for solver in ("proposed", "gppa", "pdcae"):
+        params = sweep_params(spec, solver, max_iter)
+        assert_same_run(run_new(spec, solver, params), run_new(generic, solver, params))
+    assert len(runs) == 3 and all(run is spec for run in runs)
+
+
+@pytest.mark.parametrize("max_iter", [1, 63, 64, 65, 128])
+@pytest.mark.parametrize("loss", ["least-squares", "lorentzian"])
+def test_fused_loop_flushes_its_blocks(loss, max_iter):
+    # the fused loop sums F's terms every psg.BLOCK = 64 iterations and at
+    # the last one
+    gamma, _ = bench.LOSS_DEFAULTS[loss]
+    spec = cs.build_cs_problem(cs.make_instance(1, 0, gamma, loss))
+    generic, _ = pass_through(spec)
+    for solver in ("proposed", "gppa", "pdcae"):
+        params = sweep_params(spec, solver, max_iter, stop_rel_tol=0.0)
+        got = run_new(spec, solver, params)
+        assert len(got.trace.objective) == 1 + max_iter
+        assert_same_run(got, run_new(generic, solver, params))
+
+
+@pytest.mark.parametrize("name, extra", [
+    ("prox_fC", 0), ("grad_h", 0), ("subgrad_g", 0),
+    ("value_f", 1), ("value_h", 1), ("value_g", 1)])
+def test_a_wrapped_oracle_is_called_every_iteration(name, extra):
+    # F(x_0) takes the value oracles once more
+    spec, calls = pass_through(make_problem()[1], name)
+    for solver in ("proposed", "gppa", "pdcae"):
+        calls.clear()
+        rep = run_new(spec, solver, sweep_params(spec, solver, 40, stop_rel_tol=0.0))
+        assert len(calls) == extra + rep.iterations == extra + 40, solver
+
+
 def counting(map_):
     """A LinearMap wrapping map_'s products, and the dict of their call
     counts, which the wrappers keep up to date."""
@@ -155,14 +235,17 @@ def test_large_dct_cases_smoke(case):
 
 def assert_solves_alike(spec, other, max_iter):
     """Each solver, run on spec and on other with spec's sweep parameters,
-    ends with the same status and iteration count and an objective within
-    1e-12 relative.  Returns {solver: (report on spec, report on other)}."""
+    ends with the same status and iteration count, and an objective and an
+    x within 1e-12 relative (x in norm).  Returns {solver: (report on spec,
+    report on other)}."""
     reports = {}
     for solver in ("proposed", "gppa", "pdcae"):
         params = sweep_params(spec, solver, max_iter, keep_iterates=False)
         got, want = run_new(spec, solver, params), run_new(other, solver, params)
         assert (got.status, got.iterations) == (want.status, want.iterations), solver
         assert abs(got.objective - want.objective) <= 1e-12 * abs(want.objective), solver
+        assert (np.linalg.norm(got.x - want.x)
+                <= 1e-12 * np.linalg.norm(want.x)), solver
         reports[solver] = got, want
     return reports
 
@@ -246,15 +329,16 @@ def test_nan_objective_is_reported_as_nan_violation(solver):
     assert np.isnan(rep.max_lyapunov_violation)
 
 
-class RecordingScreen(L1Screen):
-    """An L1Screen that records each column product as (iteration, psi, cols).
+class RecordingScreen(L1L2):
+    """An L1L2 record that records each column product as (iteration, psi,
+    cols).
 
     The iteration is the number of subgrad_g calls so far minus one: every
     solver calls subgrad_g once at the top of each iteration.
     """
 
-    def __init__(self, screen, subgrads):
-        super().__init__(screen.gamma, screen.matrix)
+    def __init__(self, rec, subgrads):
+        super().__init__(rec.gamma, rec.loss, rec.map_A, rec.matrix)
         object.__setattr__(self, "subgrads", subgrads)
         object.__setattr__(self, "calls", [])
 
@@ -264,8 +348,8 @@ class RecordingScreen(L1Screen):
 
 
 def recording(spec):
-    """spec whose screen records its column products and whose subgrad_g
-    keeps every subgradient it returns."""
+    """spec whose record records its column products and whose subgrad_g
+    keeps every subgradient it returns (so it runs psg._loop)."""
     subgrads = []
 
     def subgrad_g(x):
@@ -273,11 +357,11 @@ def recording(spec):
         return subgrads[-1]
 
     return dataclasses.replace(spec, subgrad_g=subgrad_g,
-                               screen=RecordingScreen(spec.screen, subgrads))
+                               l1l2=RecordingScreen(spec.l1l2, subgrads))
 
 
 def skipped_margins(spec, solver, max_iter=3000):
-    """Solve with spec's screen recording; at every column-path iteration,
+    """Solve with spec's record recording; at every column-path iteration,
     recompute w with the full product A^T psi and check each skipped
     coordinate against the threshold t = gamma tau.
 
@@ -288,19 +372,19 @@ def skipped_margins(spec, solver, max_iter=3000):
     params = sweep_params(spec, solver, max_iter)
     rep = run_new(rec, solver, params)
     tau, _, mus = schedule(spec, solver, params)
-    A, tr = spec.screen.matrix, rep.trace
-    t = spec.screen.gamma * tau
+    A, tr = spec.l1l2.matrix, rep.trace
+    t = spec.l1l2.gamma * tau
     margins = []
-    for n, psi, cols in rec.screen.calls:
+    for n, psi, cols in rec.l1l2.calls:
         x, x_prev = tr.iterates[n], tr.iterates[max(n - 1, 0)]
         mu = mus[n % len(mus)]
         v = x if mu == 0.0 else x + mu * (x - x_prev)
-        w = v - tau * (A.T @ psi) + tau * rec.screen.subgrads[n]
+        w = v - tau * (A.T @ psi) + tau * rec.l1l2.subgrads[n]
         skipped = np.ones(len(w), dtype=bool)
         skipped[cols] = False
         assert np.all(np.abs(w[skipped]) <= t), (solver, n)
         margins.append((t - np.abs(w[skipped])) / t)
-    return rep, len(rec.screen.calls), np.concatenate(margins or [[]])
+    return rep, len(rec.l1l2.calls), np.concatenate(margins or [[]])
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -308,7 +392,7 @@ def skipped_margins(spec, solver, max_iter=3000):
 def test_skipped_coordinates_are_zeroed_by_the_full_product(case, seed):
     gamma, _ = bench.LOSS_DEFAULTS["least-squares"]
     spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, "least-squares"))
-    assert spec.screen is not None
+    assert spec.l1l2.matrix is not None
     for solver in ("proposed", "gppa", "pdcae"):
         rep, column_iters, _ = skipped_margins(spec, solver)
         assert rep.status == "converged"
@@ -349,7 +433,7 @@ def near_threshold_instance(gamma=0.1, n_active=3, n_near=200):
 
 def test_skipped_coordinates_just_under_the_threshold():
     spec = cs.build_cs_problem(near_threshold_instance())
-    assert spec.screen is not None
+    assert spec.l1l2.matrix is not None
     for solver in ("proposed", "gppa", "pdcae"):
         rep, column_iters, margins = skipped_margins(spec, solver)
         assert rep.status == "converged"
@@ -362,8 +446,10 @@ def test_skipped_coordinates_just_under_the_threshold():
 def test_screened_solves_match_unscreened(case, seed):
     gamma, max_iter = bench.LOSS_DEFAULTS["least-squares"]
     spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, "least-squares"))
-    assert spec.screen is not None
-    full = dataclasses.replace(spec, screen=None)
+    assert spec.l1l2.matrix is not None
+    # both specs keep their record's oracles, so both run the fused loop
+    rec = dataclasses.replace(spec.l1l2, matrix=None)
+    full = dataclasses.replace(spec, **rec.fields(), l1l2=rec)
     for solver, (scr, ref) in assert_solves_alike(spec, full, max_iter).items():
         assert np.array_equal(scr.x != 0, ref.x != 0), solver
 
@@ -376,11 +462,11 @@ def test_screened_iteration_makes_one_apply_and_one_adjoint_product(solver):
     # the column path starts after 39-81 iterations on this instance
     rep = run_new(spec, solver, sweep_params(spec, solver, 120, stop_rel_tol=0.0))
     assert rep.iterations == 120
-    columns = len(spec.screen.calls)
+    columns = len(spec.l1l2.calls)
     assert columns > 0
     assert counts == {"apply": 1 + 120, "adjoint": 120 - columns}
     # at most one column product per iteration
-    assert len({n for n, _, _ in spec.screen.calls}) == columns
+    assert len({n for n, _, _ in spec.l1l2.calls}) == columns
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -394,12 +480,17 @@ def test_non_finite_psi_or_bound_takes_the_full_product(solver, oracle, bad):
     params = sweep_params(spec, solver, 120, stop_rel_tol=0.0, keep_iterates=False)
     clean = recording(spec)
     run_new(clean, solver, params)
-    k = clean.screen.calls[0][0]
+    k = clean.l1l2.calls[0][0]
     failing = oracle_failing_at(recording(spec), oracle, k, bad)
     with pytest.raises(FloatingPointError,
                        match="non-finite iterate at iteration %d$" % k):
         run_new(failing, solver, params)
-    assert failing.screen.calls == []
+    assert failing.l1l2.calls == []
+
+
+def screened_record(gamma, A):
+    """An L1-L2 record of the map of A, screened with A."""
+    return L1L2(gamma, Loss("least-squares", np.zeros(len(A))), LinearMap.from_matrix(A), A)
 
 
 def test_screen_columns_keeps_nan_coordinates():
@@ -407,7 +498,7 @@ def test_screen_columns_keeps_nan_coordinates():
     # with >= would have skipped it); every other coordinate is far below
     rng = np.random.default_rng(0)
     A = np.asfortranarray(rng.standard_normal((20, 64)))
-    screen = L1Screen(1.0, A)
+    screen = screened_record(1.0, A)
     psi = rng.standard_normal(20)
     G = 1e-3 * rng.standard_normal(64)
     G[5] = np.nan
@@ -431,6 +522,6 @@ def test_screen_columns_bound_is_tight_on_an_aligned_column(gamma, kept):
     x = np.zeros(8)
     tau = 0.5
     ref = (psi_r, A.T @ psi_r, np.linalg.norm(psi_r))
-    w, cols = psg.screen_columns(ref, L1Screen(gamma, A), 2.0, tau, psi, x, x)
+    w, cols = psg.screen_columns(ref, screened_record(gamma, A), 2.0, tau, psi, x, x)
     assert cols.tolist() == kept
     assert w[0] == 0.05 and abs(-tau * (A.T @ psi))[0] == 0.1

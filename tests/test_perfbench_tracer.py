@@ -78,7 +78,7 @@ def test_instrumented_solve_is_bit_identical(layers, case):
     # column products bypass map_A, so the traced A* misses those iterations
     calls = span["calls"]
     assert calls["linop.apply"][0] == 1 + t_rep.iterations
-    screened = spec.screen is not None
+    screened = spec.l1l2.matrix is not None
     assert (calls["linop.adjoint"][0] < t_rep.iterations) == screened
 
 

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dcprox import cs
 from dcprox.linop import LinearMap
-from dcprox.problem import L1Screen, SolverParams, tau_upper_bound
+from dcprox.oracles import L1L2, soft_threshold
+from dcprox.problem import SolverParams, tau_upper_bound
 from dcprox.psg import lyapunov_c, momentum_table, solve, tail_linear_fit
 from test_kernel import make_problem, run_new, sweep_params
 
@@ -63,7 +63,7 @@ def test_psg_step_zero_momentum_is_proximal_gradient():
     g = spec.subgrad_g(x)
     A = inst.A.dense()
     grad = A.T @ spec.grad_h(A @ x)
-    want = cs.soft_threshold(x - tau * grad + tau * g, inst.gamma * tau)
+    want = soft_threshold(x - tau * grad + tau * g, inst.gamma * tau)
     assert np.allclose(rep.x, want, atol=1e-14)
 
 
@@ -116,15 +116,17 @@ def test_solve_wraps_prox_failures(solver):
             run_new(bad, solver, params)
         assert isinstance(err.value.__cause__, KeyError), oracle
 
-    # the column product of a screened problem is an A* product too
-    class FailingScreen(L1Screen):
+    # the column product of a screened problem is an A* product too, in the
+    # loop of a spec that keeps its record's oracles and in the other loop
+    class FailingScreen(L1L2):
         def adjoint_columns(self, y, cols):
             raise KeyError("boom")
 
-    screened = replace(spec, screen=FailingScreen(inst.gamma, A.matrix))
-    with pytest.raises(RuntimeError, match=r"^A\* product failed at iteration \d+$") as err:
-        run_new(screened, solver, sweep_params(spec, solver, 3000))
-    assert isinstance(err.value.__cause__, KeyError)
+    rec = FailingScreen(inst.gamma, spec.l1l2.loss, A, A.matrix)
+    for screened in (replace(spec, **rec.fields(), l1l2=rec), replace(spec, l1l2=rec)):
+        with pytest.raises(RuntimeError, match=r"^A\* product failed at iteration \d+$") as err:
+            run_new(screened, solver, sweep_params(spec, solver, 3000))
+        assert isinstance(err.value.__cause__, KeyError)
 
 
 @pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
