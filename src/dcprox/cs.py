@@ -25,11 +25,6 @@ CASES = {
     8: ("dct", 2880, 10240, 320),
 }
 
-#: m * d from which build_cs_problem lets the kernel screen the A* product of
-#: a matrix-backed map: between case 1 (115,200), where screening cost 9%,
-#: and case 2 (460,800), where it saved 15%
-SCREEN_MIN_ENTRIES = 250_000
-
 
 def _standard_normal_column_major(rng, m, d):
     """rng.standard_normal((m, d)), the same numbers, stored column-major.
@@ -184,6 +179,8 @@ def make_instance(case, seed, gamma, loss_kind):
         kind, m, d, s = case
         for name, value in (("m", m), ("d", d), ("s", s)):
             check_count(name, value)
+        if s > d:  # gen_ground_truth's own check, before any draw
+            raise ValueError("need 1 <= s <= d")
     else:
         check_count("case", case)
         if case not in CASES:
@@ -212,17 +209,11 @@ def build_cs_problem(inst):
     """ProblemSpec with f = gamma ||.||_1, h = loss, g = gamma ||.||.
 
     Its oracles and map_A are the fields() of its oracles.L1L2 record.
-    norm_A is the instance's bound; no norm is estimated here.  The record
-    of a matrix-backed map of at least SCREEN_MIN_ENTRIES entries carries
-    the matrix, so the kernel computes only the A* entries the prox does
-    not provably zero.
+    norm_A is the instance's bound; no norm is estimated here.
     """
     check_number("gamma", inst.gamma, positive=True)
     loss = Loss(inst.loss_kind, inst.b)
-    matrix = inst.A.matrix
-    if matrix is not None and matrix.size < SCREEN_MIN_ENTRIES:
-        matrix = None
-    rec = L1L2(inst.gamma, loss, inst.A, matrix)
+    rec = L1L2(inst.gamma, loss, inst.A)
     return ProblemSpec(**rec.fields(), lipschitz_ell=loss.lipschitz,
                        norm_A=inst.norm_A, l1l2=rec)
 

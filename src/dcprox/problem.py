@@ -22,8 +22,9 @@ class ProblemSpec:
     matrices sqrt(lambda_max + margin) from one eigendecomposition of
     A A^T (linop.gram_spectrum), a certified bound about 1e-10 relative
     above ||A|| on case 3.  l1l2, when set, is the oracles.L1L2 record of
-    an L1-L2 problem, whose oracles psg.iterate fuses and whose matrix lets
-    it skip the entries of A* grad_h that the prox provably zeroes.
+    an L1-L2 problem on a map of map_A's shape: psg.iterate fuses its
+    oracles, and the record alone decides whether its map's matrix lets the
+    loop skip the entries of A* grad_h that the prox provably zeroes.
     """
 
     prox_fC: Callable[[np.ndarray, float], np.ndarray]
@@ -44,11 +45,10 @@ class ProblemSpec:
             check_number(name, getattr(self, name))
         # norm_A**2 raises OverflowError where this product gives inf (from 2**512 on)
         check_number("norm_A * norm_A", self.norm_A * self.norm_A)
-        shape = (self.map_A.dim_out, self.map_A.dim_in)
-        matrix = None if self.l1l2 is None else self.l1l2.matrix
-        if matrix is not None and matrix.shape != shape:
-            raise ValueError("screen matrix shape %s does not match map_A %s"
-                             % (matrix.shape, shape))
+        if self.l1l2 is not None:
+            own, shape = [(a.dim_out, a.dim_in) for a in (self.l1l2.map_A, self.map_A)]
+            if own != shape:
+                raise ValueError("l1l2 map shape %s does not match map_A %s" % (own, shape))
 
     def objective(self, x, Ax=None):
         """F(x) = f(x) + h(A x) - g(x); Ax, when given, must be A x."""

@@ -72,7 +72,7 @@ def screen_columns(ref, screen, norm_A, tau, psi, v, g_n):
     so |w~_i| + R < t, and both |w~_i| and |w_i| lie below t.
     """
     psi_r, G_r, Q = ref
-    m, d = screen.matrix.shape
+    m, d = screen.map_A.dim_out, screen.map_A.dim_in
     e = (m + 8) * EPS
     N = norm_A * (1.0 + math.sqrt(m) * m * d * EPS)
     t = screen.gamma * tau
@@ -124,8 +124,9 @@ def iterate(spec, x0, params, tau, lams, mus, c=0.0, delta=0.0):
 
     A spec whose oracles and map_A are the fields() of its l1l2 record runs
     _l1l2_loop, any other _loop; they compute the same numbers bit for bit.
-    With spec.l1l2.matrix set, the full A* product is kept as a reference,
-    and while x_n is sparse (linop.SPARSE_CUT) prox_input may replace the
+    When the record screens (its matrix, the array of a large matrix-backed
+    map, is not None), the full A* product is kept as a reference, and
+    while x_n is sparse (linop.SPARSE_CUT) prox_input may replace the
     next one by a product on the columns the prox does not provably zero;
     each iteration makes one full or one column-subset A* product either way.
     """

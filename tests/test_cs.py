@@ -162,6 +162,8 @@ def test_build_cs_problem_regularizer_value_and_gamma():
 @pytest.mark.parametrize("case, screened", [
     (1, False), (2, True), (5, False), (6, False),
     (("gaussian", 270, 960, 30), True), (("gaussian", 220, 782, 24), False),
+    # 250,000 and 249,996 entries, either side of oracles.SCREEN_MIN_ENTRIES
+    (("gaussian", 250, 1000, 10), True), (("gaussian", 249, 1004, 10), False),
 ])
 def test_build_cs_problem_screens_large_matrix_maps_only(case, screened):
     inst = cs.make_instance(case, 0, 0.1, "least-squares")

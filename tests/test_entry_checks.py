@@ -67,9 +67,9 @@ def spec_kwargs(**kw):
             "map_A": LinearMap.identity(3), "lipschitz_ell": 1.0, "norm_A": 1.0, **kw}
 
 
-def l1l2_record(matrix):
-    """An L1-L2 record on the map of spec_kwargs, screened with matrix."""
-    return L1L2(0.1, Loss("least-squares", np.zeros(3)), LinearMap.identity(3), matrix)
+def l1l2_record(dim):
+    """An L1-L2 record on the identity map of R^dim."""
+    return L1L2(0.1, Loss("least-squares", np.zeros(dim)), LinearMap.identity(dim))
 
 
 def affine_spec():
@@ -153,8 +153,8 @@ ROWS = [
     # norm_A**2 overflows from 2**512 on
     *[Row(ProblemSpec, "norm_A", v, number_error("norm_A * norm_A", INF))
       for v in (1e200, 2.0**512)],
-    Row(ProblemSpec, "l1l2", functools.partial(l1l2_record, np.eye(3, 4, order="F")),
-        "screen matrix shape (3, 4) does not match map_A (3, 3)"),
+    Row(ProblemSpec, "l1l2", functools.partial(l1l2_record, 4),
+        "l1l2 map shape (4, 4) does not match map_A (3, 3)"),
     # no SolverParams gives a zero denominator, so a namespace stands in
     Row(tau_upper_bound, "params", SimpleNamespace(delta=0.0, lambda_bar=0.0, mu_bar=0.0),
         number_error(DENOMINATOR, 0.0, True)),
@@ -194,6 +194,8 @@ ROWS = [
     *counts(cs.make_instance, "case", name="m", wrap=lambda v: ("gaussian", v, 50, 4)),
     *counts(cs.make_instance, "case", name="d", wrap=lambda v: ("gaussian", 20, v, 4)),
     *counts(cs.make_instance, "case", name="s", wrap=lambda v: ("gaussian", 20, 50, v)),
+    # m > d too: a draw before the check of s would fail on gen_gaussian's m <= d
+    Row(cs.make_instance, "case", ("gaussian", 60, 50, 51), "need 1 <= s <= d"),
     *[Row(cs.make_instance, "case", c, "case must be a (kind, m, d, s) tuple: %r" % (c,))
       for c in (SMALL[:3], SMALL + (1,))],
     *counts(cs.make_instance, "seed", least=0),
@@ -231,7 +233,7 @@ ACCEPTED = [
     (CHECK_POSITIVE, "value", 1e-300),
     *[(cls, arg, v) for cls in (SolverParams, BaselineParams) for arg, v in (
         ("restart_period", None), ("max_iter", np.int64(10)), ("restart_period", np.int32(7)))],
-    (ProblemSpec, "l1l2", functools.partial(l1l2_record, np.eye(3, order="F"))),
+    (ProblemSpec, "l1l2", functools.partial(l1l2_record, 3)),
     (cs.make_instance, "seed", np.int64(3)),
 ]
 

@@ -162,7 +162,7 @@ def assert_same_run(got, want):
     ("least-squares", 1), ("least-squares", 2), ("least-squares", 5),
     ("lorentzian", 1), ("lorentzian", 5)])
 def test_fused_loop_equals_generic_loop(loss, case, seed, monkeypatch):
-    # case 2 is above cs.SCREEN_MIN_ENTRIES, so both loops screen
+    # case 2 is above oracles.SCREEN_MIN_ENTRIES, so both loops screen
     gamma, max_iter = bench.LOSS_DEFAULTS[loss]
     spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, loss))
     generic, _ = pass_through(spec)
@@ -287,7 +287,7 @@ def oracle_failing_at(spec, name, k, bad):
     return dataclasses.replace(spec, **{name: oracle})
 
 
-#: (bad value, instance) inputs; case 2 is above cs.SCREEN_MIN_ENTRIES
+#: (bad value, instance) inputs; case 2 is above oracles.SCREEN_MIN_ENTRIES
 NON_FINITE_INPUTS = [
     pytest.param(bad, case, id=str(bad) + suffix)
     for case, suffix in ((("gaussian", 40, 120, 6), ""), (2, "-screened"))
@@ -338,7 +338,7 @@ class RecordingScreen(L1L2):
     """
 
     def __init__(self, rec, subgrads):
-        super().__init__(rec.gamma, rec.loss, rec.map_A, rec.matrix)
+        super().__init__(rec.gamma, rec.loss, rec.map_A)
         object.__setattr__(self, "subgrads", subgrads)
         object.__setattr__(self, "calls", [])
 
@@ -447,8 +447,11 @@ def test_screened_solves_match_unscreened(case, seed):
     gamma, max_iter = bench.LOSS_DEFAULTS["least-squares"]
     spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, "least-squares"))
     assert spec.l1l2.matrix is not None
-    # both specs keep their record's oracles, so both run the fused loop
-    rec = dataclasses.replace(spec.l1l2, matrix=None)
+    # both specs keep their record's oracles, so both run the fused loop;
+    # the same map without its matrix does not screen
+    A = spec.map_A
+    rec = L1L2(spec.l1l2.gamma, spec.l1l2.loss,
+               LinearMap(A.apply, A.adjoint, A.dim_in, A.dim_out))
     full = dataclasses.replace(spec, **rec.fields(), l1l2=rec)
     for solver, (scr, ref) in assert_solves_alike(spec, full, max_iter).items():
         assert np.array_equal(scr.x != 0, ref.x != 0), solver
@@ -489,8 +492,8 @@ def test_non_finite_psi_or_bound_takes_the_full_product(solver, oracle, bad):
 
 
 def screened_record(gamma, A):
-    """An L1-L2 record of the map of A, screened with A."""
-    return L1L2(gamma, Loss("least-squares", np.zeros(len(A))), LinearMap.from_matrix(A), A)
+    """An L1-L2 record of the map of A, as screen_columns reads it."""
+    return L1L2(gamma, Loss("least-squares", np.zeros(len(A))), LinearMap.from_matrix(A))
 
 
 def test_screen_columns_keeps_nan_coordinates():

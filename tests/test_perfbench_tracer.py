@@ -39,7 +39,7 @@ def build_and_solve(case):
     return spec.norm_A, inst.b, rep
 
 
-#: case 2 is above cs.SCREEN_MIN_ENTRIES: its solves take the column path
+#: case 2 is above oracles.SCREEN_MIN_ENTRIES: its solves take the column path
 CASES = [
     (("gaussian", 30, 80, 4), "cs.gen_gaussian"),
     (("dct", 30, 80, 4), "cs.gen_dct"),

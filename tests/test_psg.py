@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dcprox import cs
 from dcprox.linop import LinearMap
 from dcprox.oracles import L1L2, soft_threshold
 from dcprox.problem import SolverParams, tau_upper_bound
@@ -116,13 +117,14 @@ def test_solve_wraps_prox_failures(solver):
             run_new(bad, solver, params)
         assert isinstance(err.value.__cause__, KeyError), oracle
 
-    # the column product of a screened problem is an A* product too, in the
-    # loop of a spec that keeps its record's oracles and in the other loop
+    # the column product of a screened problem (case 2) is an A* product too,
+    # in the loop of a spec that keeps its record's oracles and in the other loop
     class FailingScreen(L1L2):
         def adjoint_columns(self, y, cols):
             raise KeyError("boom")
 
-    rec = FailingScreen(inst.gamma, spec.l1l2.loss, A, A.matrix)
+    spec = cs.build_cs_problem(cs.make_instance(2, 3, 0.1, "least-squares"))
+    rec = FailingScreen(spec.l1l2.gamma, spec.l1l2.loss, spec.map_A)
     for screened in (replace(spec, **rec.fields(), l1l2=rec), replace(spec, l1l2=rec)):
         with pytest.raises(RuntimeError, match=r"^A\* product failed at iteration \d+$") as err:
             run_new(screened, solver, sweep_params(spec, solver, 3000))
