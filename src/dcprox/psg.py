@@ -210,8 +210,12 @@ def _loop(spec, x, Ax, trace, params, tau, lams, mus):
     return x, "max-iter"
 
 
-#: iterations whose objective terms _l1l2_loop sums in one numpy call each
+#: iterations whose objective terms _l1l2_loop sums in one numpy call each,
+#: fewer where BLOCK rows of |x| would take more than BLOCK_BYTES
 BLOCK = 64
+#: bytes of _l1l2_loop's block of |x| rows: BLOCK rows up to d = 2560
+#: (case 3), 16 rows (1.3 MB) at d = 10240 (case 8)
+BLOCK_BYTES = BLOCK * 2560 * 8
 
 
 def _l1l2_loop(spec, x, Ax, trace, params, tau, lams, mus):
@@ -220,7 +224,7 @@ def _l1l2_loop(spec, x, Ax, trace, params, tau, lams, mus):
     r = A x_{n+1} - b and r^2 once, for F and, at lam = 0, the next psi;
     F's |x_{n+1}| from the prox.  Vectors go to buffers made before the
     loop (x_{n-1}, x_n, x_{n+1} rotate through three); F's sums run once
-    per BLOCK iterations."""
+    per block of at most BLOCK iterations."""
     rec = spec.l1l2
     gamma, b, lorentzian = rec.gamma, rec.loss.b, rec.loss.kind == "lorentzian"
     screen = rec if rec.matrix is not None else None
@@ -229,12 +233,13 @@ def _l1l2_loop(spec, x, Ax, trace, params, tau, lams, mus):
     g, v, w, dx, spare = (np.empty(d) for _ in range(5))
     r, u, rr = np.subtract(Ax, b), np.empty(len(b)), np.empty(len(b))
     r2 = np.multiply(r, r)  # r^2 of the last F, a row of r2_block after it
-    # row n % BLOCK: |x_{n+1}|, r^2 (Lorentzian), h (least squares), ||x_{n+1}||
-    abs_block, r2_block = np.empty((BLOCK, d)), np.empty((BLOCK, len(b)))
-    h, norms = np.empty(BLOCK), np.empty(BLOCK)
+    # row n % rows: |x_{n+1}|, r^2 (Lorentzian), h (least squares), ||x_{n+1}||
+    rows = min(BLOCK, max(1, BLOCK_BYTES // (8 * d)))
+    abs_block, h, norms = np.empty((rows, d)), np.empty(rows), np.empty(rows)
+    r2_block = np.empty((rows, len(b))) if lorentzian else None
     x_prev, Ax_prev, nx, ref = x.copy(), Ax, math.sqrt(x @ x), None
     for n in range(params.max_iter):
-        lam, mu, i = lams[n % period], mus[n % period], n % BLOCK
+        lam, mu, i = lams[n % period], mus[n % period], n % rows
         if nx == 0.0:
             g.fill(0.0)
         else:
@@ -282,7 +287,7 @@ def _l1l2_loop(spec, x, Ax, trace, params, tau, lams, mus):
         x_prev, x, spare = x, x_next, x_prev
         Ax_prev, Ax, nx = Ax, Ax_next, nx_next
         stop = n >= 1 and rel < params.stop_rel_tol
-        if stop or i == BLOCK - 1 or n + 1 == params.max_iter:
+        if stop or i == rows - 1 or n + 1 == params.max_iter:
             # each row sums in the order of value_f's np.abs(x).sum() and
             # value_h's np.log1p(r * r).sum(), so each F is bit for bit _loop's
             f = gamma * abs_block[:i + 1].sum(axis=1)

@@ -50,16 +50,14 @@ hashes:
     each of the three solvers.
 It uses only bench.SweepConfig, bench.OPFConfig, bench.run_cs_sweep,
 bench.results_csv_text, bench.run_opf, bench._solve_cell, bench.CSV_COLUMNS,
-bench.LOSS_DEFAULTS, bench.SOLVERS, cs.make_instance, cs.build_cs_problem,
-opf.load_network, opf.build_dcopf and cli.main, so it runs unchanged on both
-sides of a change that keeps those.
+bench.LOSS_DEFAULTS, bench.SOLVERS, blas.threads, cs.make_instance,
+cs.build_cs_problem, opf.load_network, opf.build_dcopf and cli.main, so it
+runs unchanged on both sides of a change that keeps those.
 """
 
 import argparse
 import collections
 import contextlib
-import ctypes
-import glob
 import hashlib
 import io
 import json
@@ -71,7 +69,7 @@ import tempfile
 
 import numpy as np
 
-from dcprox import bench, cli, cs, opf
+from dcprox import bench, blas, cli, cs, opf
 
 SWEEPS = {"least-squares": (1, 2, 5, 6), "lorentzian": (1, 5)}
 SWEEP_SEEDS = 3
@@ -80,33 +78,15 @@ SOLVE_SEEDS = range(4)
 WALL_TIME_COLUMN = bench.CSV_COLUMNS.index("mean_wall_time (nondeterministic)")
 
 
-def openblas_threads():
-    """The thread count of the OpenBLAS that numpy bundles, read through
-    ctypes as perfbench/run.py reads it; None when that library is not
-    found or exports no getter."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                  "numpy.libs", "*openblas*"))
-    try:
-        lib = ctypes.CDLL(libs[0])
-    except (IndexError, OSError):
-        return None
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            getter = getattr(lib, prefix + "_get_num_threads" + suffix, None)
-            if getter is not None:
-                return int(getter())
-    return None
-
-
 def env():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "blas": {key: blas.get(key) for key in ("name", "version")},
+        "blas": {key: build.get(key) for key in ("name", "version")},
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "cpus": len(os.sched_getaffinity(0)),
-        "openblas_threads": openblas_threads(),
+        "openblas_threads": blas.threads(),
     }
 
 

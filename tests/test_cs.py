@@ -37,8 +37,9 @@ def test_gen_gaussian_full_row_rank():
     assert s[-1] > 1e-8
 
 
-# m is not a multiple of the 64-row draw block
-@pytest.mark.parametrize("m, d", [(130, 333), (180, 640)])
+# m is not a multiple of the 64-row draw block; (180, 640) and (360, 1280)
+# (cases 1 and 2) pin the bytes of the QR that runs at one BLAS thread
+@pytest.mark.parametrize("m, d", [(130, 333), (180, 640), (360, 1280)])
 @pytest.mark.parametrize("mode", ["scaled", "orthonormal"])
 def test_gen_gaussian_column_major_equals_row_major_draw(mode, m, d):
     A, norm_A = cs.gen_gaussian(m, d, 11, mode=mode)

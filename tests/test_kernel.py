@@ -173,13 +173,20 @@ def test_fused_loop_equals_generic_loop(loss, case, seed, monkeypatch):
     assert len(runs) == 3 and all(run is spec for run in runs)
 
 
-@pytest.mark.parametrize("max_iter", [1, 63, 64, 65, 128])
+#: a case whose d = 5120 takes blocks of 32 rows (psg.BLOCK_BYTES)
+WIDE = ("gaussian", 40, 5120, 4)
+
+
+@pytest.mark.parametrize("case, max_iter", [
+    *(pytest.param(1, cap, id=str(cap)) for cap in (1, 63, 64, 65, 128)),
+    *(pytest.param(WIDE, cap, id="d5120-%d" % cap) for cap in (31, 32, 33, 64))])
 @pytest.mark.parametrize("loss", ["least-squares", "lorentzian"])
-def test_fused_loop_flushes_its_blocks(loss, max_iter):
-    # the fused loop sums F's terms every psg.BLOCK = 64 iterations and at
-    # the last one
+def test_fused_loop_flushes_its_blocks(loss, case, max_iter):
+    # the fused loop sums F's terms every block (psg.BLOCK = 64 rows on
+    # case 1, 32 on WIDE) and at the last iteration
+    assert psg.BLOCK_BYTES // (8 * WIDE[2]) == 32
     gamma, _ = bench.LOSS_DEFAULTS[loss]
-    spec = cs.build_cs_problem(cs.make_instance(1, 0, gamma, loss))
+    spec = cs.build_cs_problem(cs.make_instance(case, 0, gamma, loss))
     generic, _ = pass_through(spec)
     for solver in ("proposed", "gppa", "pdcae"):
         params = sweep_params(spec, solver, max_iter, stop_rel_tol=0.0)
