@@ -22,9 +22,11 @@ class ProblemSpec:
     matrices sqrt(lambda_max + margin) from one eigendecomposition of
     A A^T (linop.gram_spectrum), a certified bound about 1e-10 relative
     above ||A|| on case 3.  l1l2, when set, is the oracles.L1L2 record of
-    an L1-L2 problem on a map of map_A's shape: psg.iterate fuses its
-    oracles, and the record alone decides whether its map's matrix lets the
-    loop skip the entries of A* grad_h that the prox provably zeroes.
+    an L1-L2 problem on map_A itself: psg.iterate fuses its oracles, and
+    the record alone decides whether its map's matrix lets the loop skip
+    the entries of A* grad_h that the prox provably zeroes.  A record on a
+    map of another shape fails, as does one whose map holds a matrix when
+    map_A holds another; a matrix-free map_A of the record's shape passes.
     """
 
     prox_fC: Callable[[np.ndarray, float], np.ndarray]
@@ -49,6 +51,9 @@ class ProblemSpec:
             own, shape = [(a.dim_out, a.dim_in) for a in (self.l1l2.map_A, self.map_A)]
             if own != shape:
                 raise ValueError("l1l2 map shape %s does not match map_A %s" % (own, shape))
+            own, matrix = self.l1l2.map_A.matrix, self.map_A.matrix
+            if own is not None and matrix is not None and own is not matrix:
+                raise ValueError("l1l2 map holds another matrix than map_A")
 
     def objective(self, x, Ax=None):
         """F(x) = f(x) + h(A x) - g(x); Ax, when given, must be A x."""

@@ -210,36 +210,24 @@ def _loop(spec, x, Ax, trace, params, tau, lams, mus):
     return x, "max-iter"
 
 
-#: iterations whose objective terms _l1l2_loop sums in one numpy call each,
-#: fewer where BLOCK rows of |x| would take more than BLOCK_BYTES
-BLOCK = 64
-#: bytes of _l1l2_loop's block of |x| rows: BLOCK rows up to d = 2560
-#: (case 3), 16 rows (1.3 MB) at d = 10240 (case 8)
-BLOCK_BYTES = BLOCK * 2560 * 8
-
-
 def _l1l2_loop(spec, x, Ax, trace, params, tau, lams, mus):
     """_loop's numbers, bit for bit, on an L1-L2 spec, from fewer operations:
     ||x_{n+1}|| once, for F(x_{n+1}), the next subgradient and stop test;
     r = A x_{n+1} - b and r^2 once, for F and, at lam = 0, the next psi;
     F's |x_{n+1}| from the prox.  Vectors go to buffers made before the
-    loop (x_{n-1}, x_n, x_{n+1} rotate through three); F's sums run once
-    per block of at most BLOCK iterations."""
+    loop (x_{n-1}, x_n, x_{n+1} rotate through three); F(x_{n+1}) is summed
+    in the iteration that forms x_{n+1}, in value_f's and value_h's order."""
     rec = spec.l1l2
     gamma, b, lorentzian = rec.gamma, rec.loss.b, rec.loss.kind == "lorentzian"
     screen = rec if rec.matrix is not None else None
     d, period, t = len(x), len(lams), gamma * tau
     objective, step_norms, iterates = trace.objective, trace.step_norms, trace.iterates
-    g, v, w, dx, spare = (np.empty(d) for _ in range(5))
+    a, g, v, w, dx, spare = (np.empty(d) for _ in range(6))
     r, u, rr = np.subtract(Ax, b), np.empty(len(b)), np.empty(len(b))
-    r2 = np.multiply(r, r)  # r^2 of the last F, a row of r2_block after it
-    # row n % rows: |x_{n+1}|, r^2 (Lorentzian), h (least squares), ||x_{n+1}||
-    rows = min(BLOCK, max(1, BLOCK_BYTES // (8 * d)))
-    abs_block, h, norms = np.empty((rows, d)), np.empty(rows), np.empty(rows)
-    r2_block = np.empty((rows, len(b))) if lorentzian else None
+    r2 = np.multiply(r, r)  # r^2 of the last F
     x_prev, Ax_prev, nx, ref = x.copy(), Ax, math.sqrt(x @ x), None
     for n in range(params.max_iter):
-        lam, mu, i = lams[n % period], mus[n % period], n % rows
+        lam, mu = lams[n % period], mus[n % period]
         if nx == 0.0:
             g.fill(0.0)
         else:
@@ -263,7 +251,6 @@ def _l1l2_loop(spec, x, Ax, trace, params, tau, lams, mus):
             wn, ref = prox_input(spec, screen, ref, tau, psi, vn, g, x, w, dx)
         except Exception as exc:
             raise RuntimeError("A* product failed at iteration %d" % n) from exc
-        a = abs_block[i]
         np.abs(wn, out=a)
         a -= t
         np.maximum(a, 0.0, out=a)
@@ -275,10 +262,11 @@ def _l1l2_loop(spec, x, Ax, trace, params, tau, lams, mus):
         Ax_next = rec.map_A.apply(x_next)
         np.subtract(Ax_next, b, out=r)
         if lorentzian:
-            r2 = np.multiply(r, r, out=r2_block[i])
+            h = float(np.log1p(np.multiply(r, r, out=r2), out=rr).sum())
         else:
-            h[i] = 0.5 * float(r @ r)
-        nx_next = norms[i] = math.sqrt(x_next @ x_next)
+            h = 0.5 * float(r @ r)
+        nx_next = math.sqrt(x_next @ x_next)
+        objective.append(gamma * float(a.sum()) + h - gamma * nx_next)
         step_norms.append(step)
         if iterates is not None:
             iterates.append(x_next.copy())
@@ -286,17 +274,8 @@ def _l1l2_loop(spec, x, Ax, trace, params, tau, lams, mus):
         rel = step / nx if nx > 0 else step
         x_prev, x, spare = x, x_next, x_prev
         Ax_prev, Ax, nx = Ax, Ax_next, nx_next
-        stop = n >= 1 and rel < params.stop_rel_tol
-        if stop or i == rows - 1 or n + 1 == params.max_iter:
-            # each row sums in the order of value_f's np.abs(x).sum() and
-            # value_h's np.log1p(r * r).sum(), so each F is bit for bit _loop's
-            f = gamma * abs_block[:i + 1].sum(axis=1)
-            if lorentzian:
-                h[:i + 1] = np.log1p(r2_block[:i + 1]).sum(axis=1)
-            with np.errstate(invalid="ignore", over="ignore"):  # as Python floats
-                objective += ((f + h[:i + 1]) - gamma * norms[:i + 1]).tolist()
-            if stop:
-                return x, "converged"
+        if n >= 1 and rel < params.stop_rel_tol:
+            return x, "converged"
     return x, "max-iter"
 
 

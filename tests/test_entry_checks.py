@@ -99,7 +99,7 @@ BASES = {
     CHECK_POSITIVE: lambda: {"name": "x", "value": 1.0},
     SolverParams: dict,
     BaselineParams: lambda: {"step_tau": 0.1, "extrapolation": True},
-    ProblemSpec: spec_kwargs,
+    ProblemSpec: lambda: spec_kwargs(map_A=LinearMap.from_matrix(np.eye(3))),
     tau_upper_bound: lambda: {"params": SolverParams(), "spec": ProblemSpec(
         **spec_kwargs(lipschitz_ell=0.0, norm_A=1e10))},
     LinearMap: lambda: {"apply": np.copy, "adjoint": np.copy, "dim_in": 3, "dim_out": 2},
@@ -155,6 +155,10 @@ ROWS = [
       for v in (1e200, 2.0**512)],
     Row(ProblemSpec, "l1l2", functools.partial(l1l2_record, 4),
         "l1l2 map shape (4, 4) does not match map_A (3, 3)"),
+    # the base map_A holds its own copy of the identity matrix
+    Row(ProblemSpec, "l1l2", L1L2(0.1, Loss("least-squares", np.zeros(3)),
+                                  LinearMap.from_matrix(np.eye(3))),
+        "l1l2 map holds another matrix than map_A"),
     # no SolverParams gives a zero denominator, so a namespace stands in
     Row(tau_upper_bound, "params", SimpleNamespace(delta=0.0, lambda_bar=0.0, mu_bar=0.0),
         number_error(DENOMINATOR, 0.0, True)),

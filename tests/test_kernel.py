@@ -157,42 +157,30 @@ def assert_same_run(got, want):
                for a, b in zip(got.trace.iterates, want.trace.iterates))
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("loss, case", [
-    ("least-squares", 1), ("least-squares", 2), ("least-squares", 5),
-    ("lorentzian", 1), ("lorentzian", 5)])
-def test_fused_loop_equals_generic_loop(loss, case, seed, monkeypatch):
+#: (loss, case, seed, cap): the sweep inputs, which all converge, and case 1
+#: stopped by the cap at stop_rel_tol = 0
+FUSED_INPUTS = [
+    *(pytest.param(loss, case, seed, None, id="%s-%d-%d" % (loss, case, seed))
+      for loss, case in [("least-squares", 1), ("least-squares", 2), ("least-squares", 5),
+                         ("lorentzian", 1), ("lorentzian", 5)] for seed in (0, 1)),
+    *(pytest.param(loss, 1, 0, cap, id="%s-1-0-cap%d" % (loss, cap))
+      for loss in ("least-squares", "lorentzian") for cap in (1, 2, 65))]
+
+
+@pytest.mark.parametrize("loss, case, seed, cap", FUSED_INPUTS)
+def test_fused_loop_equals_generic_loop(loss, case, seed, cap, monkeypatch):
     # case 2 is above oracles.SCREEN_MIN_ENTRIES, so both loops screen
     gamma, max_iter = bench.LOSS_DEFAULTS[loss]
     spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, loss))
     generic, _ = pass_through(spec)
     runs = fused_runs(monkeypatch)
     for solver in ("proposed", "gppa", "pdcae"):
-        params = sweep_params(spec, solver, max_iter)
-        assert_same_run(run_new(spec, solver, params), run_new(generic, solver, params))
-    assert len(runs) == 3 and all(run is spec for run in runs)
-
-
-#: a case whose d = 5120 takes blocks of 32 rows (psg.BLOCK_BYTES)
-WIDE = ("gaussian", 40, 5120, 4)
-
-
-@pytest.mark.parametrize("case, max_iter", [
-    *(pytest.param(1, cap, id=str(cap)) for cap in (1, 63, 64, 65, 128)),
-    *(pytest.param(WIDE, cap, id="d5120-%d" % cap) for cap in (31, 32, 33, 64))])
-@pytest.mark.parametrize("loss", ["least-squares", "lorentzian"])
-def test_fused_loop_flushes_its_blocks(loss, case, max_iter):
-    # the fused loop sums F's terms every block (psg.BLOCK = 64 rows on
-    # case 1, 32 on WIDE) and at the last iteration
-    assert psg.BLOCK_BYTES // (8 * WIDE[2]) == 32
-    gamma, _ = bench.LOSS_DEFAULTS[loss]
-    spec = cs.build_cs_problem(cs.make_instance(case, 0, gamma, loss))
-    generic, _ = pass_through(spec)
-    for solver in ("proposed", "gppa", "pdcae"):
-        params = sweep_params(spec, solver, max_iter, stop_rel_tol=0.0)
+        params = (sweep_params(spec, solver, max_iter) if cap is None
+                  else sweep_params(spec, solver, cap, stop_rel_tol=0.0))
         got = run_new(spec, solver, params)
-        assert len(got.trace.objective) == 1 + max_iter
+        assert cap is None or (got.status, got.iterations) == ("max-iter", cap)
         assert_same_run(got, run_new(generic, solver, params))
+    assert len(runs) == 3 and all(run is spec for run in runs)
 
 
 @pytest.mark.parametrize("name, extra", [
@@ -310,6 +298,24 @@ def test_non_finite_iterate_raises_at_its_iteration(solver, bad, case):
     params = sweep_params(spec, solver, 50, stop_rel_tol=0.0)
     with pytest.raises(FloatingPointError, match="non-finite iterate at iteration 7$"):
         run_new(spec, solver, params)
+
+
+@pytest.mark.parametrize("where", ["b", "x0"])
+@pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
+def test_nan_in_b_or_x0_raises_in_both_loops(solver, where, monkeypatch):
+    gamma, _ = bench.LOSS_DEFAULTS["lorentzian"]
+    inst = cs.make_instance(1, 0, gamma, "lorentzian")
+    x0 = np.zeros(inst.d)
+    (inst.b if where == "b" else x0)[0] = np.nan
+    spec = cs.build_cs_problem(inst)
+    generic, _ = pass_through(spec)
+    runs = fused_runs(monkeypatch)
+    fn = {"proposed": solve, "gppa": gppa_solve, "pdcae": pdcae_solve}[solver]
+    params = sweep_params(spec, solver, 5, stop_rel_tol=0.0)
+    for s in (spec, generic):
+        with pytest.raises(FloatingPointError, match="^non-finite iterate at iteration 0$"):
+            fn(s, x0, params)
+    assert runs == [spec]
 
 
 @pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
