@@ -10,10 +10,11 @@ import numpy as np
 
 from . import blas
 from .linop import LinearMap, gram_spectrum
-# unused here: kept only because perfbench's tracer patches cs.spectral_norm
-from .linop import spectral_norm  # noqa: F401
 from .oracles import L1L2, Loss
 from .problem import ProblemSpec, check_count, check_number
+
+#: called by nothing; perfbench's tracer gets and sets it (ROADMAP item 1a-i deletes both)
+spectral_norm = None
 
 #: case id -> (matrix kind, m, d, s)
 CASES = {

@@ -1,11 +1,12 @@
-"""Linear-map abstraction and spectral-norm bounds."""
+"""Linear-map abstraction and the certified spectral-norm bound.  SpectralNormError
+is raised by nothing here; it is kept only for the import in perfbench/measure.py."""
 
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .problem import check_count, check_number
+from .problem import check_count
 
 #: x of length d counts as sparse when SPARSE_CUT * nnz(x) <= d
 SPARSE_CUT = 8
@@ -96,35 +97,5 @@ def gram_spectrum(A):
 
 
 class SpectralNormError(RuntimeError):
-    """Power iteration did not converge within max_iter iterations."""
-
-
-def spectral_norm(map_, tol=1e-9, max_iter=5000, seed=0):
-    """Power-iteration estimate of the spectral norm of a LinearMap.
-
-    Runs power iteration on A*A from a seeded start vector until two
-    successive estimates agree to tol, and returns the last one inflated
-    by (1 + tol).  Power iteration approaches ||A|| from below and can
-    stall short of it when the top two singular values lie close together,
-    so the result is not a certified upper bound: on least-squares cases
-    1 and 2 (seeds 0-11) it lies below np.linalg.norm(A, 2) by up to
-    1.6e-7 relative.
-    """
-    check_number("tol", tol, positive=True)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(map_.dim_in)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = map_.adjoint(map_.apply(v))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v is in the null space; the norm along this start is 0.
-            return 0.0
-        sigma_new = np.sqrt(nw)
-        v = w / nw
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
-            return sigma_new * (1.0 + tol)
-        sigma = sigma_new
-    raise SpectralNormError("power iteration did not converge in %d iterations"
-                            % max_iter)
+    """Raised by nothing in dcprox; kept only for the import in perfbench/measure.py,
+    and deleted by ROADMAP item 1a-i together with that reader."""

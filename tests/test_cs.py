@@ -180,7 +180,7 @@ def test_build_cs_problem_screens_large_matrix_maps_only(case, screened):
 
 
 def test_case2_seed419_builds_with_certified_norm():
-    # power iteration stalled on this draw: sigma_1 and sigma_2 lie 3.5e-4 apart
+    # sigma_1 and sigma_2 lie 3.5e-4 apart on this draw
     inst = cs.make_instance(2, 419, 0.1, "least-squares")
     spec = cs.build_cs_problem(inst)
     exact = np.linalg.norm(inst.A.dense(), 2)

@@ -19,7 +19,7 @@ import pytest
 import dcprox
 from dcprox import bench, cs, opf
 from dcprox.baselines import BaselineParams, gppa_solve, pdcae_solve
-from dcprox.linop import LinearMap, spectral_norm
+from dcprox.linop import LinearMap
 from dcprox.oracles import L1L2, Loss, norm_subgradient, soft_threshold
 from dcprox.polyhedron import (
     InfeasiblePolyhedronError, PolyhedralSet, PolyhedronProjector, ProjectionError)
@@ -105,7 +105,6 @@ BASES = {
     LinearMap: lambda: {"apply": np.copy, "adjoint": np.copy, "dim_in": 3, "dim_out": 2},
     LinearMap.from_matrix: lambda: {"A": np.ones((2, 3))},
     LinearMap.identity: lambda: {"dim": 3},
-    spectral_norm: lambda: {"map_": LinearMap.identity(2)},
     PolyhedralSet: lambda: {"dim": 2, "E": [[1.0, 1.0]], "e": [0.0], "G": [[1.0, -1.0]],
                             "g": [1.0], "lo": -np.ones(2), "hi": np.ones(2)},
     PolyhedronProjector: lambda: {"set_": PolyhedralSet(2)},
@@ -167,7 +166,6 @@ ROWS = [
     *counts(LinearMap, "dim_out"),
     *counts(LinearMap.identity, "dim", name="dim_in"),
     Row(LinearMap.from_matrix, "A", np.ones(3), "expected a 2-D array"),
-    *numbers(spectral_norm, "tol", positive=True),
     *counts(PolyhedralSet, "dim", extra=(-1,)),
     Row(PolyhedralSet, "G", np.ones((1, 3)), "inconsistent constraint dimensions"),
     Row(PolyhedralSet, "hi", [0.0, -2.0], "lo must be <= hi componentwise"),

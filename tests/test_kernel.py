@@ -1,13 +1,14 @@
 """The shared iteration kernel against the loops it replaced, and its cost."""
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
 import legacy_solvers
-from dcprox import bench, cs, psg
+from dcprox import bench, cs, oracles, psg
 from dcprox.baselines import gppa_solve, pdcae_solve
 from dcprox.linop import LinearMap, gram_spectrum
 from dcprox.oracles import L1L2, Loss
@@ -27,8 +28,8 @@ def make_problem(seed=0):
     return inst, cs.build_cs_problem(inst)
 
 
-def run_new(spec, solver, params):
-    x0 = np.zeros(spec.map_A.dim_in)
+def run_new(spec, solver, params, x0=None):
+    x0 = np.zeros(spec.map_A.dim_in) if x0 is None else x0
     fn = {"proposed": solve, "gppa": gppa_solve, "pdcae": pdcae_solve}[solver]
     return fn(spec, x0, params)
 
@@ -152,9 +153,8 @@ def assert_same_run(got, want):
     for field in ("objective", "step_norms", "lyapunov"):
         assert getattr(got.trace, field) == getattr(want.trace, field), field
     assert got.max_lyapunov_violation == want.max_lyapunov_violation
-    assert len(got.trace.iterates) == len(want.trace.iterates)
-    assert all(a.tobytes() == b.tobytes()
-               for a, b in zip(got.trace.iterates, want.trace.iterates))
+    assert [a.tobytes() for a in got.trace.iterates or ()] == [
+        b.tobytes() for b in want.trace.iterates or ()]
 
 
 #: (loss, case, seed, cap): the sweep inputs, which all converge, and case 1
@@ -181,6 +181,67 @@ def test_fused_loop_equals_generic_loop(loss, case, seed, cap, monkeypatch):
         assert cap is None or (got.status, got.iterations) == ("max-iter", cap)
         assert_same_run(got, run_new(generic, solver, params))
     assert len(runs) == 3 and all(run is spec for run in runs)
+
+
+def draw(rng):
+    """A random problem of the differential test, as the values that replay it."""
+    d, pick = int(rng.integers(4, 200)), lambda *values: values[rng.integers(len(values))]
+    return dict(
+        case=(pick("gaussian", "dct"), int(rng.integers(1, d + 1)), d, int(d ** rng.uniform())),
+        seed=int(rng.integers(10**6)), gamma=pick(1e-8, 1e-5, 1e-3, 0.03, 0.1, 0.5, 2.0, 50.0),
+        loss=pick("least-squares", "lorentzian"), b_scale=pick(0.0, 1e-6, 1.0, 1e6),
+        x0=pick("zero", "dense", "sparse"), max_iter=pick(1, 2, 5, 65, 200, 700),
+        stop_rel_tol=pick(0.0, 1e-8, 1e-3, 0.5), restart_period=pick(None, 1, 2, 7, 50),
+        solver=pick("proposed", "gppa", "pdcae"), lambda_bar=float(rng.uniform(0, 3)),
+        mu_bar=float(rng.uniform(0, 1)), step=float(rng.uniform(0.01, 1.9)),
+        keep_iterates=pick(False, True), screen=pick(False, True, True),
+        fail=pick(None, "apply", "adjoint_columns"), fail_at=int(rng.integers(2, 8)))
+
+
+def drawn_run(dr, generic, monkeypatch):
+    """Draw dr's report on the fused or the generic loop, or the reprs of what it raised
+    and of its cause; call fail_at of apply (1 is F(x_0)'s) or adjoint_columns raises."""
+    monkeypatch.setattr(oracles, "SCREEN_MIN_ENTRIES", 0 if dr["screen"] else np.inf)
+    inst = cs.make_instance(dr["case"], dr["seed"], dr["gamma"], dr["loss"])
+    spec = cs.build_cs_problem(dataclasses.replace(inst, b=inst.b * dr["b_scale"]))
+    if dr["fail"]:
+        owner = spec.map_A if dr["fail"] == "apply" else spec.l1l2
+        fn, calls = getattr(owner, dr["fail"]), itertools.count(1)
+
+        def failing(*args):
+            if next(calls) == dr["fail_at"]:
+                raise ArithmeticError("injected at call %d" % dr["fail_at"])
+            return fn(*args)
+        object.__setattr__(owner, dr["fail"], failing)
+    x0 = np.where({"zero": False, "dense": True, "sparse": np.arange(inst.d) % 9 == 0}[dr["x0"]],
+                  np.random.default_rng(dr["seed"]).standard_normal(inst.d), 0.0)
+    loop = {k: dr[k] for k in ("max_iter", "stop_rel_tol", "restart_period", "keep_iterates")}
+    params = dataclasses.replace(bench.solver_params(spec, dr["solver"], 1), **loop, **(
+        {"lambda_bar": dr["lambda_bar"], "mu_bar": dr["mu_bar"]} if dr["solver"] == "proposed"
+        else {"step_tau": dr["step"] / (spec.lipschitz_ell * spec.norm_A**2)}))
+    try:
+        with np.errstate(all="ignore"):
+            return run_new(pass_through(spec)[0] if generic else spec, dr["solver"], params, x0)
+    except Exception as exc:
+        return repr(exc), repr(exc.__cause__)
+
+
+def test_fused_and_generic_loops_agree_on_drawn_problems(monkeypatch):
+    # ROADMAP item 20; drawn_run(draw, generic, monkeypatch) replays a miss
+    rng, runs, ends = np.random.default_rng(20), fused_runs(monkeypatch), set()
+    for i in range(200):
+        dr = draw(rng)
+        got, want = drawn_run(dr, False, monkeypatch), drawn_run(dr, True, monkeypatch)
+        ends.add(got[0].split("(")[0] if isinstance(got, tuple) else got.status)
+        try:
+            if isinstance(got, tuple):
+                assert got == want
+            else:
+                assert_same_run(got, want)
+        except Exception as exc:
+            raise AssertionError("draw %d: %r" % (i, dr)) from exc
+    assert len(runs) == 200
+    assert ends >= {"converged", "max-iter", "ArithmeticError", "RuntimeError"}
 
 
 @pytest.mark.parametrize("name, extra", [
@@ -310,11 +371,10 @@ def test_nan_in_b_or_x0_raises_in_both_loops(solver, where, monkeypatch):
     spec = cs.build_cs_problem(inst)
     generic, _ = pass_through(spec)
     runs = fused_runs(monkeypatch)
-    fn = {"proposed": solve, "gppa": gppa_solve, "pdcae": pdcae_solve}[solver]
     params = sweep_params(spec, solver, 5, stop_rel_tol=0.0)
     for s in (spec, generic):
         with pytest.raises(FloatingPointError, match="^non-finite iterate at iteration 0$"):
-            fn(s, x0, params)
+            run_new(s, solver, params, x0)
     assert runs == [spec]
 
 

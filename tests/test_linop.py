@@ -3,12 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dcprox.linop import (
-    LinearMap,
-    SpectralNormError,
-    gram_spectrum,
-    spectral_norm,
-)
+from dcprox.linop import LinearMap, gram_spectrum
 
 
 def test_from_matrix_apply_adjoint():
@@ -97,25 +92,3 @@ def test_gram_spectrum_bounds_norm(shape):
     assert lam.shape == (min(shape),)
     assert np.allclose(np.sqrt(np.maximum(lam[::-1], 0.0)), s, rtol=1e-10)
     assert s[0] <= bound <= (1 + 1e-10) * s[0]
-
-
-def test_spectral_norm_matches_svd():
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((30, 50))
-    est = spectral_norm(LinearMap.from_matrix(A), tol=1e-10)
-    exact = np.linalg.norm(A, 2)
-    assert abs(est - exact) <= exact * 1e-8
-
-
-def test_spectral_norm_orthonormal_rows_is_one():
-    rng = np.random.default_rng(1)
-    Q, _ = np.linalg.qr(rng.standard_normal((40, 10)))
-    est = spectral_norm(LinearMap.from_matrix(Q.T))
-    assert abs(est - 1.0) < 1e-6
-
-
-def test_spectral_norm_nonconvergence_raises():
-    rng = np.random.default_rng(2)
-    B = rng.standard_normal((6, 6))
-    with pytest.raises(SpectralNormError):
-        spectral_norm(LinearMap.from_matrix(B), tol=1e-14, max_iter=1)

@@ -7,6 +7,7 @@ bit.  This checks that contract on one small instance of each ensemble.
 its solves must match the sweep's bit for bit.
 """
 
+import importlib
 import pathlib
 
 import numpy as np
@@ -30,6 +31,13 @@ def workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
     return workloads
+
+
+def test_every_perfbench_module_imports(monkeypatch):
+    # measure imports linop.SpectralNormError, which dcprox keeps only for it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for path in sorted(PERFBENCH.glob("*.py")):
+        importlib.import_module(path.stem)
 
 
 def build_and_solve(case):
