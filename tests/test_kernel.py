@@ -1,7 +1,6 @@
 """The shared iteration kernel against the loops it replaced, and its cost."""
 
 import dataclasses
-import itertools
 import warnings
 
 import numpy as np
@@ -146,15 +145,55 @@ def fused_runs(monkeypatch):
     return runs
 
 
+class Instrumented(L1L2):
+    """A copy of an L1L2 record that counts each product's calls, keeps each
+    column product in columns as (iteration, psi, cols) and, with fail =
+    (name, k), makes call k of product name raise ArithmeticError.  Its map
+    keeps the original matrix.  The iteration is the applies so far minus
+    one: F(x_0) takes the first apply, each iteration one after its A*."""
+
+    def __init__(self, rec, fail=None):
+        self.counts = dict.fromkeys(("apply", "adjoint", "adjoint_columns"), 0)
+        self.columns, self.fail, A = [], fail, rec.map_A
+        super().__init__(rec.gamma, rec.loss, LinearMap(
+            self.counted("apply", A.apply), self.counted("adjoint", A.adjoint),
+            A.dim_in, A.dim_out, A.matrix))
+
+    def counted(self, name, product):
+        def call(*args):
+            self.counts[name] += 1
+            if self.fail == (name, self.counts[name]):
+                raise ArithmeticError("injected at call %d of %s" % self.fail[::-1])
+            return product(*args)
+        return call
+
+    def adjoint_columns(self, y, cols):
+        self.columns.append((self.counts["apply"] - 1, y.copy(), cols.copy()))
+        return self.counted("adjoint_columns", super().adjoint_columns)(y, cols)
+
+
+def instrumented(spec, fail=None):
+    """spec on an Instrumented copy of its record, whose fields() it takes,
+    so that psg._l1l2_loop runs it; the copy is its l1l2."""
+    rec = Instrumented(spec.l1l2, fail)
+    return dataclasses.replace(spec, **rec.fields(), l1l2=rec)
+
+
+def both_loops(spec, fail=None):
+    """instrumented(spec, fail) and its pass_through twin, one per loop."""
+    return instrumented(spec, fail), pass_through(instrumented(spec, fail))[0]
+
+
 def assert_same_run(got, want):
-    """Two reports agree bit for bit, kept iterates included."""
+    """Two reports agree bit for bit, kept iterates included; as bytes, a NaN
+    (F of an iterate whose residual overflows) equals the same NaN."""
     assert got.x.tobytes() == want.x.tobytes()
     assert (got.status, got.iterations) == (want.status, want.iterations)
-    for field in ("objective", "step_norms", "lyapunov"):
-        assert getattr(got.trace, field) == getattr(want.trace, field), field
-    assert got.max_lyapunov_violation == want.max_lyapunov_violation
-    assert [a.tobytes() for a in got.trace.iterates or ()] == [
-        b.tobytes() for b in want.trace.iterates or ()]
+    for field in ("objective", "step_norms", "lyapunov", "iterates"):
+        assert (np.array(getattr(got.trace, field) or ()).tobytes()
+                == np.array(getattr(want.trace, field) or ()).tobytes()), field
+    assert (np.float64(got.max_lyapunov_violation).tobytes()
+            == np.float64(want.max_lyapunov_violation).tobytes())
 
 
 #: (loss, case, seed, cap): the sweep inputs, which all converge, and case 1
@@ -198,21 +237,26 @@ def draw(rng):
         fail=pick(None, "apply", "adjoint_columns"), fail_at=int(rng.integers(2, 8)))
 
 
+def screened_draw(rng):
+    """A draw biased to the column path: a least-squares Gaussian problem with
+    32 <= d < 200, m from d/4 to d/2 and s <= d/16, x0 = 0, a cap of 200 or
+    700, the screen forced, and an injected A* failure on two draws in three."""
+    d, pick = int(rng.integers(32, 200)), lambda *values: values[rng.integers(len(values))]
+    m, s = int(rng.integers(d // 4, d // 2 + 1)), int(rng.integers(1, d // 16 + 1))
+    return dict(draw(rng), case=("gaussian", m, d, s), loss="least-squares",
+                gamma=pick(0.03, 0.1, 0.3), b_scale=1.0, x0="zero", max_iter=pick(200, 700),
+                stop_rel_tol=pick(0.0, 1e-8), screen=True,
+                fail=pick(None, "adjoint_columns", "adjoint"))
+
+
 def drawn_run(dr, generic, monkeypatch):
     """Draw dr's report on the fused or the generic loop, or the reprs of what it raised
-    and of its cause; call fail_at of apply (1 is F(x_0)'s) or adjoint_columns raises."""
+    and of its cause, and its record's product counts; call fail_at of apply (1 is
+    F(x_0)'s), adjoint or adjoint_columns raises."""
     monkeypatch.setattr(oracles, "SCREEN_MIN_ENTRIES", 0 if dr["screen"] else np.inf)
     inst = cs.make_instance(dr["case"], dr["seed"], dr["gamma"], dr["loss"])
-    spec = cs.build_cs_problem(dataclasses.replace(inst, b=inst.b * dr["b_scale"]))
-    if dr["fail"]:
-        owner = spec.map_A if dr["fail"] == "apply" else spec.l1l2
-        fn, calls = getattr(owner, dr["fail"]), itertools.count(1)
-
-        def failing(*args):
-            if next(calls) == dr["fail_at"]:
-                raise ArithmeticError("injected at call %d" % dr["fail_at"])
-            return fn(*args)
-        object.__setattr__(owner, dr["fail"], failing)
+    spec = instrumented(cs.build_cs_problem(dataclasses.replace(inst, b=inst.b * dr["b_scale"])),
+                        dr["fail"] and (dr["fail"], dr["fail_at"]))
     x0 = np.where({"zero": False, "dense": True, "sparse": np.arange(inst.d) % 9 == 0}[dr["x0"]],
                   np.random.default_rng(dr["seed"]).standard_normal(inst.d), 0.0)
     loop = {k: dr[k] for k in ("max_iter", "stop_rel_tol", "restart_period", "keep_iterates")}
@@ -221,27 +265,50 @@ def drawn_run(dr, generic, monkeypatch):
         else {"step_tau": dr["step"] / (spec.lipschitz_ell * spec.norm_A**2)}))
     try:
         with np.errstate(all="ignore"):
-            return run_new(pass_through(spec)[0] if generic else spec, dr["solver"], params, x0)
+            got = run_new(pass_through(spec)[0] if generic else spec, dr["solver"], params, x0)
     except Exception as exc:
-        return repr(exc), repr(exc.__cause__)
+        got = repr(exc), repr(exc.__cause__)
+    return got, spec.l1l2.counts
 
 
-def test_fused_and_generic_loops_agree_on_drawn_problems(monkeypatch):
-    # ROADMAP item 20; drawn_run(draw, generic, monkeypatch) replays a miss
-    rng, runs, ends = np.random.default_rng(20), fused_runs(monkeypatch), set()
-    for i in range(200):
-        dr = draw(rng)
-        got, want = drawn_run(dr, False, monkeypatch), drawn_run(dr, True, monkeypatch)
-        ends.add(got[0].split("(")[0] if isinstance(got, tuple) else got.status)
+def drawn_runs_agree(draws, monkeypatch):
+    """Each draw's fused-loop result and product counts, asserting that its
+    generic twin gives the same report or failure, and the same counts."""
+    results = []
+    for i, dr in enumerate(draws):
+        (got, counts), (want, twin_counts) = (drawn_run(dr, generic, monkeypatch)
+                                              for generic in (False, True))
         try:
+            assert counts == twin_counts
             if isinstance(got, tuple):
                 assert got == want
             else:
                 assert_same_run(got, want)
         except Exception as exc:
             raise AssertionError("draw %d: %r" % (i, dr)) from exc
+        results.append((got, counts))
+    return results
+
+
+def test_fused_and_generic_loops_agree_on_drawn_problems(monkeypatch):
+    # ROADMAP item 20; drawn_run(draw, generic, monkeypatch) replays a miss
+    rng, runs = np.random.default_rng(20), fused_runs(monkeypatch)
+    results = drawn_runs_agree([draw(rng) for _ in range(200)], monkeypatch)
     assert len(runs) == 200
+    ends = {got[0].split("(")[0] if isinstance(got, tuple) else got.status for got, _ in results}
     assert ends >= {"converged", "max-iter", "ArithmeticError", "RuntimeError"}
+
+
+def test_fused_and_generic_loops_agree_on_screened_draws(monkeypatch):
+    # the column path and injected A* failures, which few of the draws above reach
+    rng, runs = np.random.default_rng(21), fused_runs(monkeypatch)
+    draws = [screened_draw(rng) for _ in range(60)]
+    results = drawn_runs_agree(draws, monkeypatch)
+    assert len(runs) == 60
+    assert sum(counts["adjoint_columns"] > 0 for _, counts in results) >= 30
+    raised = [dr["fail"] for dr, (got, _) in zip(draws, results)
+              if isinstance(got, tuple) and got[1].startswith("ArithmeticError")]
+    assert min(raised.count("adjoint_columns"), raised.count("adjoint")) >= 10
 
 
 @pytest.mark.parametrize("name, extra", [
@@ -256,37 +323,18 @@ def test_a_wrapped_oracle_is_called_every_iteration(name, extra):
         assert len(calls) == extra + rep.iterations == extra + 40, solver
 
 
-def counting(map_):
-    """A LinearMap wrapping map_'s products, and the dict of their call
-    counts, which the wrappers keep up to date."""
-    counts = {"apply": 0, "adjoint": 0}
-
-    def counted(name):
-        product = getattr(map_, name)
-
-        def wrapper(v):
-            counts[name] += 1
-            return product(v)
-        return wrapper
-
-    return (LinearMap(counted("apply"), counted("adjoint"), map_.dim_in,
-                      map_.dim_out), counts)
-
-
 @pytest.mark.parametrize("case", [7, 8])
 def test_large_dct_cases_smoke(case):
     gamma, _ = bench.LOSS_DEFAULTS["least-squares"]
     spec = cs.build_cs_problem(cs.make_instance(case, 0, gamma, "least-squares"))
     f0 = spec.objective(np.zeros(spec.map_A.dim_in))
     for solver in ("proposed", "gppa", "pdcae"):
-        map_A, counts = counting(spec.map_A)
-        counted = dataclasses.replace(spec, map_A=map_A)
-        params = sweep_params(counted, solver, 30, stop_rel_tol=0.0)
-        rep = run_new(counted, solver, params)
-        assert rep.iterations == 30
-        assert np.all(np.isfinite(rep.x))
-        assert rep.objective <= f0
-        assert counts == {"apply": 1 + 30, "adjoint": 30}
+        for counted in both_loops(spec):
+            rep = run_new(counted, solver, sweep_params(spec, solver, 30, stop_rel_tol=0.0))
+            assert rep.iterations == 30
+            assert np.all(np.isfinite(rep.x))
+            assert rep.objective <= f0
+            assert counted.l1l2.counts == {"apply": 1 + 30, "adjoint": 30, "adjoint_columns": 0}
 
 
 def assert_solves_alike(spec, other, max_iter):
@@ -402,62 +450,31 @@ def test_nan_objective_is_reported_as_nan_violation(solver):
     assert np.isnan(rep.max_lyapunov_violation)
 
 
-class RecordingScreen(L1L2):
-    """An L1L2 record that records each column product as (iteration, psi,
-    cols).
-
-    The iteration is the number of subgrad_g calls so far minus one: every
-    solver calls subgrad_g once at the top of each iteration.
-    """
-
-    def __init__(self, rec, subgrads):
-        super().__init__(rec.gamma, rec.loss, rec.map_A)
-        object.__setattr__(self, "subgrads", subgrads)
-        object.__setattr__(self, "calls", [])
-
-    def adjoint_columns(self, y, cols):
-        self.calls.append((len(self.subgrads) - 1, y.copy(), cols.copy()))
-        return super().adjoint_columns(y, cols)
-
-
-def recording(spec):
-    """spec whose record records its column products and whose subgrad_g
-    keeps every subgradient it returns (so it runs psg._loop)."""
-    subgrads = []
-
-    def subgrad_g(x):
-        subgrads.append(spec.subgrad_g(x))
-        return subgrads[-1]
-
-    return dataclasses.replace(spec, subgrad_g=subgrad_g,
-                               l1l2=RecordingScreen(spec.l1l2, subgrads))
-
-
 def skipped_margins(spec, solver, max_iter=3000):
-    """Solve with spec's record recording; at every column-path iteration,
-    recompute w with the full product A^T psi and check each skipped
-    coordinate against the threshold t = gamma tau.
+    """Solve instrumented(spec) on the fused loop; at every column-path
+    iteration, recompute w with the full product A^T psi and check each
+    skipped coordinate against the threshold t = gamma tau.
 
     Returns the report, the column-path iteration count and the relative
     margins (t - |w_i|) / t of all skipped coordinates.
     """
-    rec = recording(spec)
+    rec = instrumented(spec)
     params = sweep_params(spec, solver, max_iter)
     rep = run_new(rec, solver, params)
     tau, _, mus = schedule(spec, solver, params)
     A, tr = spec.l1l2.matrix, rep.trace
     t = spec.l1l2.gamma * tau
     margins = []
-    for n, psi, cols in rec.l1l2.calls:
+    for n, psi, cols in rec.l1l2.columns:
         x, x_prev = tr.iterates[n], tr.iterates[max(n - 1, 0)]
         mu = mus[n % len(mus)]
         v = x if mu == 0.0 else x + mu * (x - x_prev)
-        w = v - tau * (A.T @ psi) + tau * rec.l1l2.subgrads[n]
+        w = v - tau * (A.T @ psi) + tau * spec.subgrad_g(x)
         skipped = np.ones(len(w), dtype=bool)
         skipped[cols] = False
         assert np.all(np.abs(w[skipped]) <= t), (solver, n)
         margins.append((t - np.abs(w[skipped])) / t)
-    return rep, len(rec.l1l2.calls), np.concatenate(margins or [[]])
+    return rep, len(rec.l1l2.columns), np.concatenate(margins or [[]])
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -532,17 +549,17 @@ def test_screened_solves_match_unscreened(case, seed):
 
 @pytest.mark.parametrize("solver", ["proposed", "gppa", "pdcae"])
 def test_screened_iteration_makes_one_apply_and_one_adjoint_product(solver):
-    spec = recording(cs.build_cs_problem(cs.make_instance(2, 3, 0.1, "least-squares")))
-    map_A, counts = counting(spec.map_A)
-    spec = dataclasses.replace(spec, map_A=map_A)
+    spec = cs.build_cs_problem(cs.make_instance(2, 3, 0.1, "least-squares"))
     # the column path starts after 39-81 iterations on this instance
-    rep = run_new(spec, solver, sweep_params(spec, solver, 120, stop_rel_tol=0.0))
-    assert rep.iterations == 120
-    columns = len(spec.l1l2.calls)
-    assert columns > 0
-    assert counts == {"apply": 1 + 120, "adjoint": 120 - columns}
-    # at most one column product per iteration
-    assert len({n for n, _, _ in spec.l1l2.calls}) == columns
+    for counted in both_loops(spec):
+        rep = run_new(counted, solver, sweep_params(spec, solver, 120, stop_rel_tol=0.0))
+        assert rep.iterations == 120
+        columns = len(counted.l1l2.columns)
+        assert columns > 0
+        assert counted.l1l2.counts == {
+            "apply": 1 + 120, "adjoint": 120 - columns, "adjoint_columns": columns}
+        # at most one column product per iteration
+        assert len({n for n, _, _ in counted.l1l2.columns}) == columns
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -554,14 +571,14 @@ def test_non_finite_psi_or_bound_takes_the_full_product(solver, oracle, bad):
     # product instead, and its non-finite iterate raises there
     spec = cs.build_cs_problem(cs.make_instance(2, 3, 0.1, "least-squares"))
     params = sweep_params(spec, solver, 120, stop_rel_tol=0.0, keep_iterates=False)
-    clean = recording(spec)
+    clean = instrumented(spec)
     run_new(clean, solver, params)
-    k = clean.l1l2.calls[0][0]
-    failing = oracle_failing_at(recording(spec), oracle, k, bad)
+    k = clean.l1l2.columns[0][0]
+    failing = oracle_failing_at(instrumented(spec), oracle, k, bad)
     with pytest.raises(FloatingPointError,
                        match="non-finite iterate at iteration %d$" % k):
         run_new(failing, solver, params)
-    assert failing.l1l2.calls == []
+    assert failing.l1l2.columns == []
 
 
 def screened_record(gamma, A):
