@@ -73,12 +73,12 @@ class LinearMap:
 
 
 def gram_spectrum(A):
-    """Eigenvalues of the smaller Gram matrix of A and a certified bound on ||A||.
+    """Eigenvalues of A A^T and a certified bound on ||A|| for m x d A, m <= d.
 
-    Returns (lam, bound): lam are the eigenvalues, ascending, of G = A A^T
-    (or A^T A when A has more rows than columns), and bound >= ||A||_2 is
-    sqrt(lam[-1] + margin) with margin = (m + d) eps trace(G).  The margin
-    covers both rounding steps, with eps = 2u for the unit roundoff u:
+    Returns (lam, bound): lam are the eigenvalues, ascending, of G = A A^T,
+    and bound >= ||A||_2 is sqrt(lam[-1] + margin) with margin =
+    (m + d) eps trace(G).  The margin covers both rounding steps, with
+    eps = 2u for the unit roundoff u:
     each entry of the computed G errs by at most d u |a_i||a_j| (plus
     O(u^2)), so the computed G is within d u ||A||_F^2 = d u trace(G) of
     A A^T in 2-norm; and eigvalsh is backward stable, so lam[-1] is within
@@ -90,7 +90,7 @@ def gram_spectrum(A):
     ||G||, so the bound lies about 1e-10 relative above ||A||_2 on case 3.
     """
     A = np.asarray(A, dtype=float)
-    G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+    G = A @ A.T
     lam = np.linalg.eigvalsh(G)
     margin = sum(A.shape) * np.finfo(float).eps * np.trace(G)
     return lam, float(np.sqrt(lam[-1] + margin))

@@ -67,14 +67,13 @@ class LoopParams:
 
     max_iter: int = 3000
     stop_rel_tol: float = 1e-8
-    restart_period: Optional[int] = 50
+    restart_period: int = 50
     keep_iterates: bool = False
 
     def __post_init__(self):
         check_count("max_iter", self.max_iter)
         check_number("stop_rel_tol", self.stop_rel_tol)
-        if self.restart_period is not None:  # None means no restart
-            check_count("restart_period", self.restart_period)
+        check_count("restart_period", self.restart_period)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -20,14 +20,14 @@ def momentum_table(restart_period, max_iter):
     """Ratios r_n = (kappa_{n-1} - 1) / kappa_n of the FISTA-type schedule.
 
     kappa_{-1} = kappa_0 = 1 and kappa_{n+1} = (1 + sqrt(1 + 4 kappa_n^2)) / 2,
-    so 0 <= r_n < 1.  The kappas reset to 1 every restart_period iterations,
-    so one period (or max_iter steps when restart_period is None) holds every
-    value; iteration n uses entry n % len(table).  The proposed solver takes
-    lambda_n = lambda_bar r_n and mu_n = mu_bar tau r_n, pDCAe theta_n = r_n.
+    so 0 <= r_n < 1.  The kappas reset to 1 every restart_period iterations
+    (a period >= max_iter never resets), so the table holds the first
+    min(restart_period, max_iter) ratios; iteration n uses entry n % len(table).
+    The proposed solver takes lambda_bar r_n and mu_bar tau r_n, pDCAe theta_n = r_n.
     """
     kappa_prev = kappa = 1.0
     ratios = []
-    for _ in range(min(restart_period or max_iter, max_iter)):
+    for _ in range(min(restart_period, max_iter)):
         ratios.append((kappa_prev - 1.0) / kappa)
         kappa_prev, kappa = kappa, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * kappa**2))
     return ratios

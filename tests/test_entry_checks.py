@@ -140,7 +140,7 @@ ROWS = [
     *numbers(CHECK_POSITIVE, "value", positive=True, name="x"),
     *[row for cls in (SolverParams, BaselineParams) for row in (
         *counts(cls, "max_iter", extra=(10.0,)),
-        *counts(cls, "restart_period", extra=(-1, 7.5)),
+        *counts(cls, "restart_period", extra=(-1, 7.5, None)),
         *numbers(cls, "stop_rel_tol", extra=(-1e-8,)))],
     *numbers(SolverParams, "lambda_bar", extra=(-0.1,)),
     *numbers(SolverParams, "mu_bar", extra=(-1e-3,)),
@@ -234,7 +234,7 @@ ACCEPTED = [
     *[(check_number, "value", v) for v in (0, 0.0, 2.5, np.float64(1e300), np.int64(3))],
     (CHECK_POSITIVE, "value", 1e-300),
     *[(cls, arg, v) for cls in (SolverParams, BaselineParams) for arg, v in (
-        ("restart_period", None), ("max_iter", np.int64(10)), ("restart_period", np.int32(7)))],
+        ("max_iter", np.int64(10)), ("restart_period", np.int32(7)))],
     (ProblemSpec, "l1l2", functools.partial(l1l2_record, 3)),
     (cs.make_instance, "seed", np.int64(3)),
 ]

@@ -43,10 +43,12 @@ def test_restart_resets_schedule():
     assert ratios[49] > 0.5 and ratios[99] > 0.5
 
 
-def test_no_restart_when_period_none():
-    ratios = momentum_table(None, 200)
+def test_no_restart_when_period_outlasts_run():
+    # the max_iter cap keeps a huge period cheap
+    ratios = momentum_table(200, 200)
     assert len(ratios) == 200
     assert all(b >= a for a, b in zip(ratios[1:], ratios[2:]))
+    assert momentum_table(10**9, 200) == ratios
 
 
 def test_psg_step_zero_momentum_is_proximal_gradient():
