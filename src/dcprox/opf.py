@@ -92,7 +92,7 @@ def load_network(data_dir=None):
     bus that repeats, in any file, fails, as does a repeated generator bus.
     """
     if data_dir is None:
-        data_dir = importlib.resources.files("dcprox") / "data"
+        data_dir = importlib.resources.files(__package__) / "data"
     data_dir = pathlib.Path(str(data_dir))
     try:
         params = {k: v for k, (v,) in _read_rows(data_dir / "params.csv")[1].items()}

@@ -24,12 +24,6 @@ def norm_subgradient(x):
 
 LOSS_LIPSCHITZ = {"least-squares": 1.0, "lorentzian": 2.0}
 
-#: m * d from which an L1L2 record screens A* with its map's matrix.  On the
-#: fused loop, screening costs 15-19% per iteration on least-squares case 1
-#: (115,200), 5-8% on Lorentzian case 1, and saves 11-13% on case 2 (460,800)
-SCREEN_MIN_ENTRIES = 250_000
-
-
 @dataclass(frozen=True)
 class Loss:
     """A loss phi applied to Az, with its target and gradient modulus.
@@ -74,20 +68,14 @@ class Loss:
 class L1L2:
     """f = gamma ||.||_1, g = gamma ||.|| and h = loss on the map map_A.
 
-    psg.iterate fuses the oracles of a ProblemSpec that holds all fields().
+    psg.iterate fuses the oracles of a ProblemSpec that holds all fields(),
+    and psg.screening decides whether map_A's matrix screens the A* product:
+    prox_fC(w, tau) zeroes every |w_i| <= gamma * tau.
     """
 
     gamma: float
     loss: Loss
     map_A: "LinearMap"  # dcprox.linop.LinearMap
-
-    @property
-    def matrix(self):
-        """map_A's column-major array when it has at least SCREEN_MIN_ENTRIES
-        entries, else None.  Its columns screen the A* product:
-        prox_fC(w, tau) zeroes every |w_i| <= gamma * tau."""
-        A = self.map_A.matrix
-        return A if A is not None and A.size >= SCREEN_MIN_ENTRIES else None
 
     def prox_fC(self, w, tau):
         return soft_threshold(w, self.gamma * tau)

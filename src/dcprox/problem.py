@@ -23,10 +23,10 @@ class ProblemSpec:
     A A^T (linop.gram_spectrum), a certified bound about 1e-10 relative
     above ||A|| on case 3.  l1l2, when set, is the oracles.L1L2 record of
     an L1-L2 problem on map_A itself: psg.iterate fuses its oracles, and
-    the record alone decides whether its map's matrix lets the loop skip
-    the entries of A* grad_h that the prox provably zeroes.  A record on a
-    map of another shape fails, as does one whose map holds a matrix when
-    map_A holds another; a matrix-free map_A of the record's shape passes.
+    psg.screening decides whether its map's matrix lets the loop skip the
+    A* grad_h entries that the prox provably zeroes.  A record on a map of
+    another shape fails, as does one whose map holds a matrix when map_A
+    holds another; a matrix-free map_A of the record's shape passes.
     """
 
     prox_fC: Callable[[np.ndarray, float], np.ndarray]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from dcprox import cs, oracles
+from dcprox import cs, oracles, psg
 from dcprox.linop import gram_spectrum
 from dcprox.problem import SolverParams, tau_upper_bound
 from dcprox.psg import solve
@@ -163,7 +163,7 @@ def test_build_cs_problem_regularizer_value_and_gamma():
 @pytest.mark.parametrize("case, screened", [
     (1, False), (2, True), (5, False), (6, False),
     (("gaussian", 270, 960, 30), True), (("gaussian", 220, 782, 24), False),
-    # 250,000 and 249,996 entries, either side of oracles.SCREEN_MIN_ENTRIES
+    # 250,000 and 249,996 entries, either side of psg.SCREEN_MIN_ENTRIES
     (("gaussian", 250, 1000, 10), True), (("gaussian", 249, 1004, 10), False),
 ])
 def test_build_cs_problem_screens_large_matrix_maps_only(case, screened):
@@ -173,10 +173,9 @@ def test_build_cs_problem_screens_large_matrix_maps_only(case, screened):
     assert rec.gamma == inst.gamma
     assert rec.map_A is inst.A
     assert all(getattr(spec, name) == made for name, made in rec.fields().items())
-    assert (rec.matrix is not None) == screened
+    assert psg.screening(rec) is (rec if screened else None)
     if screened:
-        assert rec.matrix is inst.A.matrix
-        assert rec.matrix.flags.f_contiguous
+        assert rec.map_A.matrix.flags.f_contiguous
 
 
 def test_case2_seed419_builds_with_certified_norm():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import legacy_solvers
-from dcprox import bench, cs, oracles, psg
+from dcprox import bench, cs, psg
 from dcprox.baselines import gppa_solve, pdcae_solve
 from dcprox.linop import LinearMap, gram_spectrum
 from dcprox.oracles import L1L2, Loss
@@ -208,7 +208,7 @@ FUSED_INPUTS = [
 
 @pytest.mark.parametrize("loss, case, seed, cap", FUSED_INPUTS)
 def test_fused_loop_equals_generic_loop(loss, case, seed, cap, monkeypatch):
-    # case 2 is above oracles.SCREEN_MIN_ENTRIES, so both loops screen
+    # case 2 is above psg.SCREEN_MIN_ENTRIES, so both loops screen
     gamma, max_iter = bench.LOSS_DEFAULTS[loss]
     spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, loss))
     generic, _ = pass_through(spec)
@@ -253,7 +253,7 @@ def drawn_run(dr, generic, monkeypatch):
     """Draw dr's report on the fused or the generic loop, or the reprs of what it raised
     and of its cause, and its record's product counts; call fail_at of apply (1 is
     F(x_0)'s), adjoint or adjoint_columns raises."""
-    monkeypatch.setattr(oracles, "SCREEN_MIN_ENTRIES", 0 if dr["screen"] else np.inf)
+    monkeypatch.setattr(psg, "SCREEN_MIN_ENTRIES", 0 if dr["screen"] else np.inf)
     inst = cs.make_instance(dr["case"], dr["seed"], dr["gamma"], dr["loss"])
     spec = instrumented(cs.build_cs_problem(dataclasses.replace(inst, b=inst.b * dr["b_scale"])),
                         dr["fail"] and (dr["fail"], dr["fail_at"]))
@@ -391,7 +391,7 @@ def oracle_failing_at(spec, name, k, bad):
     return dataclasses.replace(spec, **{name: oracle})
 
 
-#: (bad value, instance) inputs; case 2 is above oracles.SCREEN_MIN_ENTRIES
+#: (bad value, instance) inputs; case 2 is above psg.SCREEN_MIN_ENTRIES
 NON_FINITE_INPUTS = [
     pytest.param(bad, case, id=str(bad) + suffix)
     for case, suffix in ((("gaussian", 40, 120, 6), ""), (2, "-screened"))
@@ -462,7 +462,7 @@ def skipped_margins(spec, solver, max_iter=3000):
     params = sweep_params(spec, solver, max_iter)
     rep = run_new(rec, solver, params)
     tau, _, mus = schedule(spec, solver, params)
-    A, tr = spec.l1l2.matrix, rep.trace
+    A, tr = spec.l1l2.map_A.matrix, rep.trace
     t = spec.l1l2.gamma * tau
     margins = []
     for n, psi, cols in rec.l1l2.columns:
@@ -482,7 +482,7 @@ def skipped_margins(spec, solver, max_iter=3000):
 def test_skipped_coordinates_are_zeroed_by_the_full_product(case, seed):
     gamma, _ = bench.LOSS_DEFAULTS["least-squares"]
     spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, "least-squares"))
-    assert spec.l1l2.matrix is not None
+    assert psg.screening(spec.l1l2) is not None
     for solver in ("proposed", "gppa", "pdcae"):
         rep, column_iters, _ = skipped_margins(spec, solver)
         assert rep.status == "converged"
@@ -523,7 +523,7 @@ def near_threshold_instance(gamma=0.1, n_active=3, n_near=200):
 
 def test_skipped_coordinates_just_under_the_threshold():
     spec = cs.build_cs_problem(near_threshold_instance())
-    assert spec.l1l2.matrix is not None
+    assert psg.screening(spec.l1l2) is not None
     for solver in ("proposed", "gppa", "pdcae"):
         rep, column_iters, margins = skipped_margins(spec, solver)
         assert rep.status == "converged"
@@ -536,7 +536,7 @@ def test_skipped_coordinates_just_under_the_threshold():
 def test_screened_solves_match_unscreened(case, seed):
     gamma, max_iter = bench.LOSS_DEFAULTS["least-squares"]
     spec = cs.build_cs_problem(cs.make_instance(case, seed, gamma, "least-squares"))
-    assert spec.l1l2.matrix is not None
+    assert psg.screening(spec.l1l2) is not None
     # both specs keep their record's oracles, so both run the fused loop;
     # the same map without its matrix does not screen
     A = spec.map_A

@@ -2,12 +2,16 @@ import dataclasses
 import importlib.resources
 import itertools
 import json
+import os
+import pathlib
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from dcprox import bench, opf
+from dcprox import bench, cs, opf
 from dcprox.polyhedron import (
     InfeasiblePolyhedronError,
     PolyhedralSet,
@@ -66,6 +70,35 @@ def test_load_network_reads_only_the_dc_files(tmp_path):
     assert np.array_equal(net.demand_p, ref.demand_p)
     assert np.array_equal(net.susceptance, ref.susceptance)
     assert net.gamma == ref.gamma == 1.0
+
+
+#: run in a process that finds only the copy: its data, one small solve, and
+#: whether anything imported the package under its own name
+COPY_RUN = """
+import sys
+import numpy as np
+from {name} import cs, opf, psg
+from {name}.problem import SolverParams
+inst = cs.make_instance(("gaussian", 20, 50, 4), 0, 0.1, "least-squares")
+rep = psg.solve(cs.build_cs_problem(inst), np.zeros(inst.d), SolverParams(max_iter=50))
+print(opf.load_network().cost_a, rep.x.tobytes().hex(), "dcprox" in sys.modules)
+"""
+
+
+def test_package_copy_under_another_name_reads_its_own_data(tmp_path):
+    # as a two-tree A/B loads a parent tree beside the working one
+    copy = tmp_path / "dcprox_copy"
+    shutil.copytree(pathlib.Path(opf.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    params = copy / "data" / "params.csv"
+    params.write_text(params.read_text().replace("cost_a,0.246", "cost_a,0.5"))
+    run = subprocess.run([sys.executable, "-c", COPY_RUN.format(name=copy.name)],
+                         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    inst = cs.make_instance(("gaussian", 20, 50, 4), 0, 0.1, "least-squares")
+    rep = solve(cs.build_cs_problem(inst), np.zeros(inst.d), SolverParams(max_iter=50))
+    assert run.stdout.split() == ["0.5", rep.x.tobytes().hex(), "False"]
 
 
 def test_load_network_rejects_asymmetry(tmp_path):

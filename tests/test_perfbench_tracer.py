@@ -47,7 +47,7 @@ def build_and_solve(case):
     return spec.norm_A, inst.b, rep
 
 
-#: case 2 is above oracles.SCREEN_MIN_ENTRIES: its solves take the column path
+#: case 2 is above psg.SCREEN_MIN_ENTRIES: its solves take the column path
 CASES = [
     (("gaussian", 30, 80, 4), "cs.gen_gaussian"),
     (("dct", 30, 80, 4), "cs.gen_dct"),
@@ -86,7 +86,7 @@ def test_instrumented_solve_is_bit_identical(layers, case):
     # column products bypass map_A, so the traced A* misses those iterations
     calls = span["calls"]
     assert calls["linop.apply"][0] == 1 + t_rep.iterations
-    screened = spec.l1l2.matrix is not None
+    screened = psg.screening(spec.l1l2) is not None
     assert (calls["linop.adjoint"][0] < t_rep.iterations) == screened
 
 
