@@ -29,10 +29,11 @@ CASES = {
 }
 
 #: m * d up to which the orthonormal ensemble's QR runs at one BLAS thread.
-#: On a 2-vCPU Xeon VM, with Q byte-identical either way, one thread took
-#: 6.0 against 12.2 ms at 115,200 (case 1) and 23-29 against 35-42 ms at
-#: 460,800 (case 2); at 1,843,200 (case 3) it was 9% slower to 7% faster,
-#: and at 29,491,200 (case 4) 9.5 against 6.5 s, with Q's bits moved
+#: On a 2-vCPU Xeon VM the in-place QR took, at one against two threads
+#: and with Q byte-identical either way, 4.5-5.1 against 11.0-11.3 ms at
+#: 115,200 (case 1) and 24-25 against 33-34 ms at 460,800 (case 2); at
+#: 1,843,200 (case 3) 123-163 against 123-148 ms, a tie to 13% slower, and
+#: at 29,491,200 (case 4) 7.6-8.5 against 4.6-5.3 s, with Q's bits moved
 QR_ONE_THREAD_MAX_ENTRIES = 460_800
 
 
@@ -59,7 +60,10 @@ def gen_gaussian(m, d, seed, mode):
       "scaled"       entries N(0, 1/m), the usual compressed-sensing scaling,
       "orthonormal"  rows orthonormalized (QR of the transpose), so that
                      A A^T = I to rounding and norm_A is 1.  The QR
-                     runs at one BLAS thread when m * d is at most
+                     (blas.qr_inplace) factors the draw's transpose in
+                     the draw's own memory, with the bytes of
+                     np.linalg.qr, and A is one column-major copy of Q^T.
+                     It runs at one BLAS thread when m * d is at most
                      QR_ONE_THREAD_MAX_ENTRIES, else at the caller's count.
     For "scaled" one eigendecomposition of A A^T verifies full row rank
     (lambda_min > 1e-12 lambda_max, else RuntimeError; a failure has
@@ -74,13 +78,13 @@ def gen_gaussian(m, d, seed, mode):
         raise ValueError("unknown mode %r" % (mode,))
     rng = np.random.default_rng(seed)
     if mode == "orthonormal":
-        # the row-major draw is what QR of its transpose reads fastest, and
-        # Q comes out row-major, so Q^T is column-major
+        # the transpose of the row-major draw is the column-major d x m
+        # array that LAPACK factors in place
         R = rng.standard_normal((m, d)).T
         small = m * d <= QR_ONE_THREAD_MAX_ENTRIES
         with blas.one_thread() if small else contextlib.nullcontext():
-            Q, _ = np.linalg.qr(R)
-        return Q.T, 1.0
+            Q = blas.qr_inplace(R)
+        return np.asfortranarray(Q.T), 1.0
     A = _standard_normal_column_major(rng, m, d)
     A /= np.sqrt(m)
     lam, norm_A = gram_spectrum(A)

@@ -6,6 +6,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import blas
 from .problem import check_count
 
 #: x of length d counts as sparse when SPARSE_CUT * nnz(x) <= d
@@ -88,11 +89,17 @@ def gram_spectrum(A):
     lam[-1] + margin >= ||A||_2^2.  For the scaled Gaussian matrices of
     the sparse-recovery cases (d = 3.56 m) trace(G) is about d / 8 times
     ||G||, so the bound lies about 1e-10 relative above ||A||_2 on case 3.
+
+    G is consumed: its trace is taken first, and blas.eigvalsh_inplace then
+    solves in G's own memory, with the bytes of np.linalg.eigvalsh(G).  G
+    is exactly symmetric, since numpy mirrors the triangle of the syrk
+    that forms A A^T, so its transpose is the column-major G that LAPACK
+    reads.
     """
     A = np.asarray(A, dtype=float)
     G = A @ A.T
-    lam = np.linalg.eigvalsh(G)
     margin = sum(A.shape) * np.finfo(float).eps * np.trace(G)
+    lam = blas.eigvalsh_inplace(G.T)
     return lam, float(np.sqrt(lam[-1] + margin))
 
 

@@ -5,16 +5,18 @@ Not a pytest module.  From anywhere in the repository,
     python tests/ab.py PARENT [--cases LOSS:CASE ...]
 
 extracts PARENT's src/dcprox with `git archive` into a temporary directory
-and imports it as the package dcprox_parent, beside the working tree's
-src/dcprox imported as dcprox; the package's modules import one another
-only relatively, so the two trees load side by side in one process.  For
-each case (by default Lorentzian cases 1 and 5 and least-squares cases 2
-and 3) and each of SEEDS it builds the instance with each tree's own
-cs.make_instance and cs.build_cs_problem, untimed, and runs every solver
-that both trees' bench.SOLVERS name from x0 = 0 through each tree's
-bench._solve_cell, each tree at its own bench.LOSS_DEFAULTS gamma and cap.  The parent runs first on even-numbered
-instances and the working tree on odd ones, since the second run of a
-pair tends to be the slower on a small VM.
+(or, when PARENT is a directory, such as a checkout or an export of a
+commit, copies its src/dcprox there) and imports it as the package
+dcprox_parent, beside the working tree's src/dcprox imported as dcprox;
+the package's modules import one another only relatively, so the two
+trees load side by side in one process.  For each case (by default
+Lorentzian cases 1 and 5 and least-squares cases 2 and 3) and each of
+SEEDS it builds the instance with each tree's own cs.make_instance and
+cs.build_cs_problem, untimed, and runs every solver that both trees'
+bench.SOLVERS name from x0 = 0 through each tree's bench._solve_cell, each
+tree at its own bench.LOSS_DEFAULTS gamma and cap.  The parent runs first
+on even-numbered instances and the working tree on odd ones, since the
+second run of a pair tends to be the slower on a small VM.
 
 Each solve is timed with time.perf_counter.  It prints the environment,
 one line per instance and the per-solve time ratio, working tree over
@@ -32,6 +34,7 @@ import importlib
 import math
 import pathlib
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -46,11 +49,15 @@ SEEDS = (0, 1, 2, 3)
 
 
 def load_trees(parent, tmp):
-    """(parent, working) as pairs of the (cs, bench) modules of each tree."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent, "src/dcprox"],
-                             capture_output=True, check=True).stdout
-    subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-    (pathlib.Path(tmp) / "src" / "dcprox").rename(pathlib.Path(tmp) / PARENT_NAME)
+    """(parent, working) as pairs of the (cs, bench) modules of each tree;
+    parent is a commit or a directory that holds src/dcprox."""
+    if pathlib.Path(parent).is_dir():
+        shutil.copytree(pathlib.Path(parent) / "src" / "dcprox", pathlib.Path(tmp) / PARENT_NAME)
+    else:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent, "src/dcprox"],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        (pathlib.Path(tmp) / "src" / "dcprox").rename(pathlib.Path(tmp) / PARENT_NAME)
     sys.path[:0] = [str(ROOT / "src"), tmp]
     return [tuple(importlib.import_module("%s.%s" % (name, mod)) for mod in ("cs", "bench"))
             for name in (PARENT_NAME, "dcprox")]
@@ -90,7 +97,8 @@ def describe(rep, error):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", help="the commit to compare the working tree with")
+    ap.add_argument("parent", help="the commit, or a directory holding src/dcprox, "
+                                   "to compare the working tree with")
     ap.add_argument("--cases", nargs="+", default=DEFAULT_CASES, metavar="LOSS:CASE",
                     help="loss kind and cs.CASES key, e.g. lorentzian:5")
     args = ap.parse_args(argv)
@@ -99,10 +107,13 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         trees = load_trees(args.parent, tmp)
         from dcprox import blas
-        commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
-                                capture_output=True, text=True, check=True).stdout.strip()
-        print("parent %s (%s) as %s against the working tree %s"
-              % (args.parent, commit, PARENT_NAME, ROOT))
+        if pathlib.Path(args.parent).is_dir():
+            source = "directory " + str(pathlib.Path(args.parent).resolve())
+        else:
+            source = "%s (%s)" % (args.parent, subprocess.run(
+                ["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
+                capture_output=True, text=True, check=True).stdout.strip())
+        print("parent %s as %s against the working tree %s" % (source, PARENT_NAME, ROOT))
         print("python %s, numpy %s, OpenBLAS threads %s"
               % (platform.python_version(), np.__version__, blas.threads()))
         solvers = [tuple(getattr(bench, "SOLVERS", ())) for _, bench in trees]

@@ -92,3 +92,11 @@ def test_gram_spectrum_bounds_norm(shape):
     assert lam.shape == (shape[0],)
     assert np.allclose(np.sqrt(np.maximum(lam[::-1], 0.0)), s, rtol=1e-10)
     assert s[0] <= bound <= (1 + 1e-10) * s[0]
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (30, 50), (180, 640)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_gram_spectrum_eigenvalues_are_numpys(shape, order):
+    A = np.asarray(np.random.default_rng(9).standard_normal(shape), order=order)
+    lam, _ = gram_spectrum(A)
+    assert lam.tobytes() == np.linalg.eigvalsh(A @ A.T).tobytes()
