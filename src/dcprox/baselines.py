@@ -8,10 +8,11 @@ from .psg import iterate, momentum_table
 
 @dataclass(frozen=True, kw_only=True)
 class BaselineParams(LoopParams):
-    """Fixed step size and momentum switch for GPPA / pDCAe."""
+    """Fixed step size of GPPA / pDCAe.  `extrapolation` is ignored; it stays
+    for perfbench/workloads.py, which passes it, until ROADMAP item 1a-i."""
 
     step_tau: float
-    extrapolation: bool = False  # pDCAe momentum on/off
+    extrapolation: bool = False  # ignored, deleted by ROADMAP item 1a-i
 
     def __post_init__(self):
         super().__post_init__()
@@ -33,9 +34,7 @@ def pdcae_solve(spec, x0, params):
     the ratios of psg.momentum_table (reset every restart_period iterations);
     x_{n+1} = prox_{tau (f + i_C)}(y_n - tau grad(h o A)(y_n) + tau g_n),
     where g_n is taken at x_n.  Requires convex f, h o A, and g; this is a
-    caller obligation, not checked here.  Without params.extrapolation,
-    theta_n = 0 and this is GPPA.
+    caller obligation, not checked here.
     """
-    thetas = (momentum_table(params.restart_period, params.max_iter)
-              if params.extrapolation else [0.0])
+    thetas = momentum_table(params.restart_period, params.max_iter)
     return iterate(spec, x0, params, params.step_tau, thetas, thetas)

@@ -100,8 +100,7 @@ def solver_params(spec, solver, max_iter):
     base_tau = 1.0 / lipschitz
     return baselines.BaselineParams(
         step_tau=0.8 * base_tau if solver == "gppa" else base_tau,
-        max_iter=max_iter, extrapolation=solver == "pdcae",
-    )
+        max_iter=max_iter)
 
 
 def _solve_cell(spec, x0, solver, max_iter):
